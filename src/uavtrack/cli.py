@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import argparse
 import os
+import statistics
 import sys
 import time
 from dataclasses import dataclass
@@ -191,14 +192,16 @@ def _export_sink(export_dir: str | None):
     if export_dir is None:
         return None
     os.makedirs(export_dir, exist_ok=True)
-    timestamps: list[float] = []
+    sidecar = os.path.join(export_dir, pgm.TIMESTAMP_SIDECAR)
+    open(sidecar, "w").close()
 
     def sink(frame: Frame) -> None:
         pgm.write_pgm(os.path.join(export_dir, pgm.frame_filename(frame.frame_index)),
                       frame.pixels)
-        timestamps.append(frame.timestamp)
-        with open(os.path.join(export_dir, pgm.TIMESTAMP_SIDECAR), "w") as f:
-            f.write("\n".join(repr(t) for t in timestamps) + "\n")
+        # Appending keeps the sidecar in step with the frames written so far;
+        # truncating and rewriting it costs a disk flush per frame.
+        with open(sidecar, "a") as f:
+            f.write(repr(frame.timestamp) + "\n")
 
     return sink
 
@@ -226,6 +229,66 @@ class BenchmarkResult:
 
 
 DEFAULT_BENCH_SIZES = [(27, 28), (20, 22), (38, 30), (30, 33)]
+BENCH_PASSES = 5
+
+
+@dataclass(frozen=True)
+class _Clip:
+    """A rendered benchmark sequence kept compactly: the first raster plus,
+    per frame, the box of pixels that differ from it (the moving target)."""
+
+    scenario: simulator.Scenario
+    base: np.ndarray
+    boxes: list[tuple[int, int, np.ndarray, float]]  # y0, x0, pixels, timestamp
+    roi: tuple[int, int, int, int]
+
+    @classmethod
+    def render(cls, w: int, h: int, n_frames: int) -> "_Clip":
+        scenario = simulator.benchmark_scenario(w, h, n_frames=n_frames)
+        renderer = simulator.SceneRenderer(scenario)
+        base = None
+        boxes = []
+        for k in range(scenario.n_frames):
+            frame, _ = renderer.render(k)
+            raster = frame.pixels.astype(np.uint8)
+            if base is None:
+                base = raster
+            changed = raster != base
+            rows = np.flatnonzero(changed.any(axis=1))
+            cols = np.flatnonzero(changed.any(axis=0))
+            y0, y1 = (rows[0], rows[-1] + 1) if rows.size else (0, 0)
+            x0, x1 = (cols[0], cols[-1] + 1) if cols.size else (0, 0)
+            boxes.append((int(y0), int(x0), raster[y0:y1, x0:x1].copy(), frame.timestamp))
+        return cls(scenario, base, boxes, renderer.target_rect_frame0())
+
+    def frame(self, k: int) -> tuple[np.ndarray, float]:
+        """The k-th 8-bit raster and its timestamp."""
+        y0, x0, pixels, ts = self.boxes[k]
+        raster = self.base.copy()
+        raster[y0:y0 + pixels.shape[0], x0:x0 + pixels.shape[1]] = pixels
+        return raster, ts
+
+
+def _frame_costs(cfg: TrackerConfig, clip: _Clip):
+    """Track ``clip``, yielding each frame's processing seconds and
+    templates evaluated. The timed part is frame construction, matching,
+    filtering and gimbal stepping; rebuilding the raster is not timed."""
+    s = clip.scenario
+    raster, ts = clip.frame(0)
+    tracker = Tracker(cfg, frame_size=(s.width, s.height))
+    tracker.select(Frame(raster, timestamp=ts), clip.roi)
+    cam = gim.CameraModel(hfov=cfg.hfov, vfov=cfg.vfov, width=s.width, height=s.height)
+    g = gim.GimbalState(pan_limit=cfg.pan_limit, tilt_limit=cfg.tilt_limit,
+                        max_rate=cfg.gimbal_max_rate,
+                        count_resolution=cfg.count_resolution)
+    center = ((s.width - 1) / 2.0, (s.height - 1) / 2.0)
+    dt = 1.0 / s.fps
+    for k in range(len(clip.boxes)):
+        raster, ts = clip.frame(k)
+        t0 = time.perf_counter()
+        step = tracker.process(Frame(raster, timestamp=ts, frame_index=k))
+        g, _ = gim.centering_step(step.detection, center, cam, g, dt)
+        yield time.perf_counter() - t0, step.templates_evaluated
 
 
 def run_benchmark(cfg: TrackerConfig, sizes: list[tuple[int, int]],
@@ -233,40 +296,25 @@ def run_benchmark(cfg: TrackerConfig, sizes: list[tuple[int, int]],
     """Time the tracking loop on pre-rendered 640x480 sequences.
 
     Rendering is excluded (frames are rasterized up front as 8-bit
-    arrays); the timed loop covers frame construction, matching, filtering
-    and gimbal stepping.
+    arrays); the timed part covers frame construction, matching, filtering
+    and gimbal stepping. Each of ``BENCH_PASSES`` passes tracks every size
+    in lockstep, one frame of each in turn, so drift in machine speed hits
+    every size alike; a row reports the median fps over the passes.
     """
-    rows = []
-    for w, h in sizes:
-        scenario = simulator.benchmark_scenario(w, h, n_frames=n_frames)
-        renderer = simulator.SceneRenderer(scenario)
-        rasters = []
-        for k in range(scenario.n_frames):
-            frame, _ = renderer.render(k)
-            rasters.append((frame.pixels.astype(np.uint8), frame.timestamp, k))
-        roi = renderer.target_rect_frame0()
-
-        tracker = Tracker(cfg, frame_size=(scenario.width, scenario.height))
-        tracker.select(Frame(rasters[0][0], timestamp=rasters[0][1]), roi)
-        cam = gim.CameraModel(hfov=cfg.hfov, vfov=cfg.vfov,
-                              width=scenario.width, height=scenario.height)
-        g = gim.GimbalState(pan_limit=cfg.pan_limit, tilt_limit=cfg.tilt_limit,
-                            max_rate=cfg.gimbal_max_rate,
-                            count_resolution=cfg.count_resolution)
-        center = ((scenario.width - 1) / 2.0, (scenario.height - 1) / 2.0)
-        dt = 1.0 / scenario.fps
-
-        evals = 0
-        t0 = time.perf_counter()
-        for raster, ts, k in rasters:
-            step = tracker.process(Frame(raster, timestamp=ts, frame_index=k))
-            g, _ = gim.centering_step(step.detection, center, cam, g, dt)
-            evals += step.templates_evaluated
-        elapsed = time.perf_counter() - t0
-
-        rows.append(BenchmarkRow(
-            patch_width=w, patch_height=h, frames=len(rasters),
-            fps=len(rasters) / elapsed, mean_templates=evals / len(rasters)))
+    clips = [_Clip.render(w, h, n_frames) for w, h in sizes]
+    fps: list[list[float]] = [[] for _ in sizes]
+    for _ in range(BENCH_PASSES):
+        seconds = [0.0] * len(sizes)
+        evals = [0] * len(sizes)
+        for costs in zip(*(_frame_costs(cfg, clip) for clip in clips)):
+            for i, (sec, n) in enumerate(costs):
+                seconds[i] += sec
+                evals[i] += n
+        for i, clip in enumerate(clips):
+            fps[i].append(len(clip.boxes) / seconds[i])
+    rows = [BenchmarkRow(patch_width=w, patch_height=h, frames=len(clip.boxes),
+                         fps=statistics.median(rates), mean_templates=n / len(clip.boxes))
+            for (w, h), clip, rates, n in zip(sizes, clips, fps, evals)]
     rows.sort(key=lambda r: r.area)
     return BenchmarkResult(rows=rows)
 

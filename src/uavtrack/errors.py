@@ -26,7 +26,7 @@ class WindowTooSmall(UavtrackError):
 
 
 class InvalidTimestep(UavtrackError):
-    """Non-positive or non-monotone timestamp passed to the filter."""
+    """Non-positive, non-finite or non-monotone timestamp passed to the filter."""
 
 
 class InvalidScenario(UavtrackError):

@@ -107,8 +107,8 @@ def build_noise(dt: float, sigma: float) -> NoiseModel:
         b = 0.5*dt^2*sigma                (position/velocity coupling)
         dt*sigma                          (velocity diagonal)
     """
-    if dt <= 0.0:
-        raise InvalidTimestep(f"dt must be positive, got {dt}")
+    if not 0.0 < dt < math.inf:
+        raise InvalidTimestep(f"dt must be positive and finite, got {dt}")
     A = np.eye(4)
     A[0, 2] = dt
     A[1, 3] = dt
@@ -137,6 +137,8 @@ def predict(state: TrackState, t: float) -> TrackState:
     """Propagate to time ``t`` under the constant-velocity model."""
     if not state.initialized:
         raise InvalidTimestep("predict on an uninitialized track")
+    if not math.isfinite(t):
+        raise InvalidTimestep(f"timestamp must be finite, got {t}")
     dt = t - state.last_time
     if dt <= 0.0:
         raise InvalidTimestep(

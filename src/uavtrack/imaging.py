@@ -41,7 +41,7 @@ class Frame:
         if a.size == 0:
             raise DimensionMismatch("frame must be non-empty")
         lo, hi = float(a.min()), float(a.max())
-        if lo < 0.0 or hi > 255.0:
+        if not (0.0 <= lo and hi <= 255.0):  # NaN fails too
             raise ValueError(f"frame intensities must lie in [0, 255], got [{lo}, {hi}]")
         a.setflags(write=False)
         object.__setattr__(self, "pixels", a)

@@ -7,6 +7,7 @@ Without a sidecar, timestamps fall back to frame_index / fps.
 
 from __future__ import annotations
 
+import math
 import os
 import re
 
@@ -85,7 +86,7 @@ def load_sequence(dirpath: str, fps: float = 25.0) -> list[Frame]:
     """Load a PGM sequence in index order.
 
     Raises ValueError for an empty directory, mismatched sidecar length, or
-    timestamps that fail to strictly increase.
+    timestamps that are not finite or fail to strictly increase.
     """
     if not os.path.isdir(dirpath):
         raise ValueError(f"sequence directory not found: {dirpath}")
@@ -103,6 +104,9 @@ def load_sequence(dirpath: str, fps: float = 25.0) -> list[Frame]:
     if os.path.exists(sidecar):
         with open(sidecar) as f:
             timestamps = [float(line) for line in f if line.strip()]
+        for k, t in enumerate(timestamps):
+            if not math.isfinite(t):
+                raise ValueError(f"{sidecar}: timestamp {k} is {t}, not a finite number")
         if len(timestamps) != len(entries):
             raise ValueError(
                 f"{sidecar}: {len(timestamps)} timestamps for {len(entries)} frames")

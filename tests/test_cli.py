@@ -4,7 +4,7 @@ import os
 import pytest
 
 from uavtrack import pgm, simulator
-from uavtrack.cli import TRACK_COLUMNS, main
+from uavtrack.cli import TRACK_COLUMNS, _export_sink, main
 from uavtrack.errors import DimensionMismatch
 from uavtrack.imaging import Frame
 from uavtrack.tracker import Tracker
@@ -84,6 +84,17 @@ class TestTrackCommand:
         raster = pgm.read_pgm(str(trk / "frames" / dumps[0]))
         assert raster.max() == 255.0  # burned-in annotations
 
+    def test_non_finite_timestamp_exits_2(self, exported, tmp_path, capsys):
+        _, _, seq = exported
+        sidecar = seq / pgm.TIMESTAMP_SIDECAR
+        lines = sidecar.read_text().splitlines()
+        lines[3] = "nan"
+        sidecar.write_text("\n".join(lines) + "\n")
+        rc = main(["track", str(seq), "--roi", "10,10,30,30",
+                   "--out", str(tmp_path / "t")])
+        assert rc == 2
+        assert "finite" in capsys.readouterr().err
+
     def test_long_miss_run_exits_1(self, tmp_path):
         s = quantized_scenario(duration=3.0,
                                dropouts=[(0.6, 3.0)])  # 60 trailing miss frames
@@ -129,6 +140,20 @@ class TestSimulateCommand:
         frames = pgm.load_sequence(str(seq))
         assert len(frames) == 100
         assert frames[0].pixels.max() <= 255.0
+
+    def test_export_matches_write_sequence(self, tmp_path, rng):
+        frames = [Frame(rng.integers(0, 256, (6, 8)).astype(float),
+                        timestamp=k / 3.0, frame_index=k) for k in range(5)]
+        exported, written = tmp_path / "exported", tmp_path / "written"
+        exported.mkdir()
+        (exported / pgm.TIMESTAMP_SIDECAR).write_text("stale\n" * 9)
+        sink = _export_sink(str(exported))
+        for frame in frames:
+            sink(frame)
+        pgm.write_sequence(str(written), frames)
+        assert sorted(os.listdir(exported)) == sorted(os.listdir(written))
+        for name in os.listdir(written):
+            assert (exported / name).read_bytes() == (written / name).read_bytes()
 
 
 class TestBenchmarkCommand:

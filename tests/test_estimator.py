@@ -54,6 +54,11 @@ class TestBuildNoise:
         with pytest.raises(InvalidTimestep):
             build_noise(0.0, 0.4)
 
+    @pytest.mark.parametrize("dt", [np.nan, np.inf, -np.inf])
+    def test_rejects_non_finite_dt(self, dt):
+        with pytest.raises(InvalidTimestep):
+            build_noise(dt, 0.4)
+
 
 class TestInit:
     def test_state_from_detection(self):
@@ -90,6 +95,11 @@ class TestPredictCorrect:
         st = init(det(0, 0), 5.0)
         with pytest.raises(InvalidTimestep):
             predict(st, 5.0)
+
+    @pytest.mark.parametrize("t", [np.nan, np.inf])
+    def test_non_finite_time_rejected(self, t):
+        with pytest.raises(InvalidTimestep):
+            predict(init(det(0, 0), 5.0), t)
 
     def test_zero_innovation_keeps_position_shrinks_p(self):
         pred = predict(init(det(40, 60), 0.0), 1.0)

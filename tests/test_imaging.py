@@ -51,6 +51,13 @@ class TestFramePatch:
         with pytest.raises(ValueError):
             Frame(np.full((2, 2), -1.0))
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_frame_rejects_non_finite(self, bad):
+        pixels = np.full((3, 3), 100.0)
+        pixels[1, 2] = bad
+        with pytest.raises(ValueError):
+            Frame(pixels)
+
     def test_frame_is_immutable(self):
         f = Frame(np.zeros((2, 2)))
         with pytest.raises(ValueError):

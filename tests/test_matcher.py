@@ -2,13 +2,17 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from conftest import window
-from uavtrack import simulator
+from uavtrack import estimator, matcher, simulator
 from uavtrack.errors import UndefinedScore, WindowTooSmall
-from uavtrack.imaging import Frame, Patch, build_template_bank, warp_raster
+from uavtrack.imaging import (
+    Frame, Patch, build_template_bank, extract_patch, warp_raster,
+)
 from uavtrack.matcher import (
-    SchedulerState, detect, schedule_order, zmncc_fast, zmncc_oracle,
+    SchedulerState, WindowStats, _fast_len, _fft_numerator, detect,
+    schedule_order, zmncc_fast, zmncc_oracle,
 )
 
 
@@ -107,6 +111,148 @@ class TestFastPath:
         assert pos == (14, 12) and score == pytest.approx(1.0, abs=1e-9)
 
 
+def planted_bank_and_frame(rng, heading=0.0):
+    """A 90x90 frame holding a sprite rotated by ``heading`` at (25, 30)."""
+    # fine-grained texture: decorrelates hard by 10 degrees, so the
+    # plant can only match the template at its exact rotation
+    sprite = np.clip(105.0 + 60.0 * simulator.value_noise(rng, 24, 24, 3), 0, 255)
+    bank = build_template_bank(Patch(sprite))
+    side = bank.canvas[0]
+    pixels = 105.0 + 8.0 * simulator.value_noise(rng, 90, 90, 5)
+    canvas = warp_raster(sprite, heading, fill=float(sprite.mean()))
+    pixels[30:30 + side, 25:25 + side] = canvas
+    return bank, Frame(np.clip(pixels, 0, 255)), (25, 30)
+
+
+def fft_map(frame, template, win):
+    stats = WindowStats(frame, win, template.pixels.shape)
+    return stats.normalize(_fft_numerator(stats, template.zm_pixels), template)
+
+
+def oracle_at(frame, template, x, y):
+    try:
+        return zmncc_oracle(frame.pixels, template, (x, y))
+    except UndefinedScore:
+        return float("nan")
+
+
+def assert_matches_oracle(cmap, frame, template, placements):
+    for v, u in placements:
+        got = float(cmap.scores[v, u])
+        want = oracle_at(frame, template, cmap.x0 + u, cmap.y0 + v)
+        if math.isnan(want):
+            assert math.isnan(got), (u, v, got)
+        else:
+            assert abs(got - want) < 1e-9, (u, v, got, want)
+
+
+def all_placements(cmap):
+    return [(v, u) for v in range(cmap.height) for u in range(cmap.width)]
+
+
+# Frame sides that are not 5-smooth, so the FFT pads the region.
+ROUGH_SIDES = [7, 11, 13, 14, 17, 19, 22, 23, 29, 31, 34, 37, 41, 43, 47]
+
+
+@st.composite
+def fft_cases(draw):
+    """A frame, a template and a window that may overhang the frame edge."""
+    fh = draw(st.sampled_from(ROUGH_SIDES))
+    fw = draw(st.sampled_from(ROUGH_SIDES))
+    th = draw(st.integers(3, min(12, fh)))
+    tw = draw(st.integers(3, min(12, fw)))
+    x0 = draw(st.integers(-8, fw - tw))
+    y0 = draw(st.integers(-8, fh - th))
+    x1 = draw(st.integers(x0 + tw, fw + 8))
+    y1 = draw(st.integers(y0 + th, fh + 8))
+    assume(min(fw, x1) - max(0, x0) >= tw and min(fh, y1) - max(0, y0) >= th)
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    if draw(st.booleans()):
+        pixels = rng.integers(0, 256, (fh, fw)).astype(np.float64)
+    else:
+        pixels = rng.uniform(0.0, 255.0, (fh, fw))
+    if draw(st.booleans()):  # plant a flat block to exercise NaN marking
+        bh = int(rng.integers(th, fh + 1))
+        bw = int(rng.integers(tw, fw + 1))
+        by = int(rng.integers(0, fh - bh + 1))
+        bx = int(rng.integers(0, fw - bw + 1))
+        pixels[by:by + bh, bx:bx + bw] = float(rng.integers(0, 256))
+    template = Patch(rng.uniform(0.0, 255.0, (th, tw)))
+    return Frame(pixels), template, window(x0, y0, x1, y1)
+
+
+class TestFftNumerator:
+    @settings(max_examples=150, deadline=None)
+    @given(fft_cases())
+    def test_matches_oracle_everywhere(self, case):
+        frame, template, win = case
+        cmap = fft_map(frame, template, win)
+        x0, y0 = max(0, win.x0), max(0, win.y0)
+        assert (cmap.x0, cmap.y0) == (x0, y0)
+        assert cmap.scores.shape == (
+            min(frame.height, win.y1) - y0 - template.height + 1,
+            min(frame.width, win.x1) - x0 - template.width + 1)
+        assert_matches_oracle(cmap, frame, template, all_placements(cmap))
+
+    @settings(max_examples=60, deadline=None)
+    @given(fft_cases(), st.floats(0.5, 1.5), st.floats(-40.0, 40.0))
+    def test_gain_offset_invariance(self, case, gain, offset):
+        frame, template, win = case
+        lit = gain * frame.pixels + offset
+        assume(lit.min() >= 0.0 and lit.max() <= 255.0)
+        m1 = fft_map(frame, template, win).scores
+        m2 = fft_map(Frame(lit), template, win).scores
+        assert np.array_equal(np.isnan(m1), np.isnan(m2))
+        ok = ~np.isnan(m1)
+        assert np.all(np.abs(m1[ok] - m2[ok]) < 1e-9)
+
+    def test_full_frame_640x480_at_sampled_placements(self):
+        scn = simulator.benchmark_scenario(30, 33, n_frames=50)
+        renderer = simulator.SceneRenderer(scn)
+        frame0, _ = renderer.render(0)
+        bank = build_template_bank(extract_patch(frame0, renderer.target_rect_frame0()))
+        frame, _ = renderer.render(40)
+        template = bank.templates[3]
+        win = estimator.full_frame_window(640, 480)
+        cmap = zmncc_fast(frame, template, win)
+        assert cmap.scores.size * template.pixels.size > matcher._DIRECT_MAX_MACS
+        assert np.array_equal(cmap.scores, fft_map(frame, template, win).scores,
+                              equal_nan=True)
+        rng = np.random.default_rng(7)
+        _, (bx, by) = cmap.best()
+        spots = [(by, bx)] + [(int(rng.integers(cmap.height)), int(rng.integers(cmap.width)))
+                              for _ in range(300)]
+        assert_matches_oracle(cmap, frame, template, spots)
+
+    def test_stats_for_another_shape_rejected(self, rng):
+        frame = Frame(rng.uniform(0, 255, (30, 30)))
+        stats = WindowStats(frame, window(0, 0, 30, 30), (5, 6))
+        with pytest.raises(ValueError):
+            zmncc_fast(frame, Patch(rng.uniform(0, 255, (6, 5))), window(0, 0, 30, 30), stats)
+
+    def test_fast_len_is_smallest_5_smooth(self):
+        smooth = sorted(2 ** a * 3 ** b * 5 ** c
+                        for a in range(13) for b in range(8) for c in range(6)
+                        if 2 ** a * 3 ** b * 5 ** c <= 4096)
+        for n in range(1, 4001):
+            assert _fast_len(n) == next(m for m in smooth if m >= n)
+
+    def test_detect_agrees_across_numerators(self, rng, monkeypatch):
+        bank, frame, _ = planted_bank_and_frame(rng, heading=40.0)
+        results = []
+        for limit in (math.inf, 0):
+            monkeypatch.setattr(matcher, "_DIRECT_MAX_MACS", limit)
+            sched = SchedulerState()
+            det = detect(frame, bank, sched, window(0, 0, 90, 90), 0.9)
+            results.append((det, sched))
+        (direct, s1), (fft, s2) = results
+        assert direct is not None and fft is not None
+        assert (fft.position, fft.template_index, fft.frame_index) == \
+            (direct.position, direct.template_index, direct.frame_index)
+        assert fft.score == pytest.approx(direct.score, abs=1e-12)
+        assert s1 == s2 and s1.last_frame_evals == s2.last_frame_evals == 5
+
+
 class TestScheduler:
     def test_fresh_order(self):
         assert schedule_order(SchedulerState()) == [0, 1, 2, 3, 4, 5, 6]
@@ -149,19 +295,8 @@ class TestScheduler:
 
 
 class TestDetect:
-    def _bank_and_frame(self, rng, heading=0.0):
-        # fine-grained texture: decorrelates hard by 10 degrees, so the
-        # plant can only match the template at its exact rotation
-        sprite = np.clip(105.0 + 60.0 * simulator.value_noise(rng, 24, 24, 3), 0, 255)
-        bank = build_template_bank(Patch(sprite))
-        side = bank.canvas[0]
-        pixels = 105.0 + 8.0 * simulator.value_noise(rng, 90, 90, 5)
-        canvas = warp_raster(sprite, heading, fill=float(sprite.mean()))
-        pixels[30:30 + side, 25:25 + side] = canvas
-        return bank, Frame(np.clip(pixels, 0, 255)), (25, 30)
-
     def test_unrotated_plant_matches_template_zero(self, rng):
-        bank, frame, (x, y) = self._bank_and_frame(rng)
+        bank, frame, (x, y) = planted_bank_and_frame(rng)
         sched = SchedulerState()
         det = detect(frame, bank, sched, window(0, 0, 90, 90), 0.9)
         assert det is not None
@@ -173,7 +308,7 @@ class TestDetect:
         assert sched.last_matched_index == 0
 
     def test_rotated_40_deg_matches_index_4(self, rng):
-        bank, frame, _ = self._bank_and_frame(rng, heading=40.0)
+        bank, frame, _ = planted_bank_and_frame(rng, heading=40.0)
         sched = SchedulerState()
         det = detect(frame, bank, sched, window(0, 0, 90, 90), 0.9)
         assert det is not None and det.template_index == 4

@@ -75,6 +75,14 @@ class TestSequences:
         with pytest.raises(ValueError):
             pgm.load_sequence(str(tmp_path))
 
+    @pytest.mark.parametrize("bad", ["nan", "inf", "-inf"])
+    def test_non_finite_timestamp_rejected(self, tmp_path, rng, bad):
+        frames = self._frames(rng, n=3)
+        pgm.write_sequence(str(tmp_path), frames)
+        (tmp_path / pgm.TIMESTAMP_SIDECAR).write_text(f"0.0\n{bad}\n0.2\n")
+        with pytest.raises(ValueError, match="finite"):
+            pgm.load_sequence(str(tmp_path))
+
     def test_sidecar_length_mismatch(self, tmp_path, rng):
         frames = self._frames(rng, n=3)
         pgm.write_sequence(str(tmp_path), frames)
