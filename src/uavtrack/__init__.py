@@ -10,9 +10,9 @@ configuration, command line).
 from .config import TrackerConfig
 from .imaging import Frame, Patch, TemplateBank, build_template_bank, extract_patch, to_grayscale, warp_rotate
 from .matcher import CorrelationMap, Detection, SchedulerState, detect, schedule_order, zmncc_fast, zmncc_oracle
-from .estimator import NoiseModel, SearchWindow, TrackState, build_noise, correct, init, miss, predict, search_window
+from .estimator import NoiseModel, SearchWindow, TrackState, build_noise, correct, init, predict, search_window
 from .gimbal import CameraModel, GimbalState, centering_step, pixel_error_to_counts, step_gimbal
-from .simulator import GroundTruth, Scenario, TrackReport, render_sequence, run_closed_loop
+from .simulator import Scenario, TrackReport, render_sequence, run_closed_loop
 from .tracker import Tracker
 
 __all__ = [
@@ -20,9 +20,9 @@ __all__ = [
     "extract_patch", "to_grayscale", "warp_rotate", "CorrelationMap",
     "Detection", "SchedulerState", "detect", "schedule_order", "zmncc_fast",
     "zmncc_oracle", "NoiseModel", "SearchWindow", "TrackState", "build_noise",
-    "correct", "init", "miss", "predict", "search_window", "CameraModel",
+    "correct", "init", "predict", "search_window", "CameraModel",
     "GimbalState", "centering_step", "pixel_error_to_counts", "step_gimbal",
-    "GroundTruth", "Scenario", "TrackReport", "render_sequence",
+    "Scenario", "TrackReport", "render_sequence",
     "run_closed_loop", "Tracker",
 ]
 

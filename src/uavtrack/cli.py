@@ -7,30 +7,26 @@ exceeded the configured ``miss_run_limit``; 2 input or configuration error.
 from __future__ import annotations
 
 import argparse
+import dataclasses
+import itertools
 import os
 import statistics
 import sys
-import time
 from dataclasses import dataclass
+from typing import Iterator
 
 import numpy as np
 
-from . import gimbal as gim, pgm, simulator
+from . import pgm, simulator
 from .config import ConfigError, TrackerConfig, resolve_config
 from .errors import UavtrackError
+from .gimbal import Gimbal
 from .imaging import Frame
-from .simulator import FrameRecord, TrackReport
-from .tracker import Tracker, TrackStep
+from .tracker import FrameRecord, Tracker, track_frames
 
-TRACK_COLUMNS = [
-    "frame_index", "time", "detected", "x", "y", "score", "template_index",
-    "templates_evaluated", "miss", "window_x0", "window_y0", "window_x1",
-    "window_y1", "half_width", "half_height",
-]
-REPORT_COLUMNS = TRACK_COLUMNS + [
-    "truth_visible", "truth_x", "truth_y", "truth_heading", "gain", "offset",
-    "pan_rad", "tilt_rad", "pan_counts", "tilt_counts", "saturated", "wall_ms",
-]
+REPORT_COLUMNS = [f.name for f in dataclasses.fields(FrameRecord)]
+# track_log.csv holds the tracking columns, the ones before the ground truth.
+TRACK_COLUMNS = REPORT_COLUMNS[:REPORT_COLUMNS.index("truth_visible")]
 MOTOR_COLUMNS = ["frame_index", "pan_counts", "tilt_counts", "pan_rad",
                  "tilt_rad", "saturated_flag"]
 
@@ -45,23 +41,6 @@ def _fmt(v) -> str:
     return str(v)
 
 
-def _row_cells(r: FrameRecord) -> dict:
-    return {
-        "frame_index": r.frame_index, "time": r.time, "detected": r.detected,
-        "x": r.x, "y": r.y, "score": r.score, "template_index": r.template_index,
-        "templates_evaluated": r.templates_evaluated, "miss": r.miss,
-        "window_x0": r.window[0], "window_y0": r.window[1],
-        "window_x1": r.window[2], "window_y1": r.window[3],
-        "half_width": r.half_width, "half_height": r.half_height,
-        "truth_visible": r.truth_visible, "truth_x": r.truth_x,
-        "truth_y": r.truth_y, "truth_heading": r.truth_heading,
-        "gain": r.gain, "offset": r.offset, "pan_rad": r.pan_rad,
-        "tilt_rad": r.tilt_rad, "pan_counts": r.pan_counts,
-        "tilt_counts": r.tilt_counts, "saturated": r.saturated,
-        "wall_ms": r.wall_ms,
-    }
-
-
 def write_csv(path: str, columns: list[str], rows: list[dict]) -> None:
     with open(path, "w", newline="") as f:
         f.write(",".join(columns) + "\n")
@@ -69,92 +48,60 @@ def write_csv(path: str, columns: list[str], rows: list[dict]) -> None:
             f.write(",".join(_fmt(row.get(c)) for c in columns) + "\n")
 
 
-def write_report_csv(path: str, report: TrackReport) -> None:
-    write_csv(path, REPORT_COLUMNS, [_row_cells(r) for r in report.records])
-
-
-def write_motor_csv(path: str, report: TrackReport) -> None:
-    rows = [{
-        "frame_index": r.frame_index, "pan_counts": r.pan_counts,
-        "tilt_counts": r.tilt_counts, "pan_rad": r.pan_rad,
-        "tilt_rad": r.tilt_rad, "saturated_flag": r.saturated,
-    } for r in report.records]
-    write_csv(path, MOTOR_COLUMNS, rows)
-
-
-def annotate(pixels: np.ndarray, step: TrackStep) -> np.ndarray:
+def annotate(pixels: np.ndarray, record: FrameRecord) -> np.ndarray:
     """Burn the search window border and a 3x3 detection block into a copy."""
     out = np.rint(np.clip(pixels, 0.0, 255.0)).astype(np.uint8)
-    x0, y0, x1, y1 = step.window_rect
+    x0, y0, x1, y1 = record.window
     x1, y1 = x1 - 1, y1 - 1
     out[y0, x0:x1 + 1] = 255
     out[y1, x0:x1 + 1] = 255
     out[y0:y1 + 1, x0] = 255
     out[y0:y1 + 1, x1] = 255
-    if step.detection is not None:
-        px, py = step.detection.position
+    if record.detected:
+        px, py = record.x, record.y
         out[max(0, py - 1):py + 2, max(0, px - 1):px + 2] = 255
     return out
+
+
+def _longest_miss_run(records: list[FrameRecord]) -> int:
+    longest = run = 0
+    for r in records:
+        run = run + 1 if r.miss else 0
+        longest = max(longest, run)
+    return longest
 
 
 # --------------------------------------------------------------------------
 # track
 # --------------------------------------------------------------------------
 
-def run_track(frames: list[Frame], roi: tuple[int, int, int, int],
-              cfg: TrackerConfig) -> list[TrackStep]:
-    tracker = Tracker(cfg, frame_size=(frames[0].width, frames[0].height))
-    tracker.select(frames[0], roi)
-    return [tracker.process(frame) for frame in frames]
-
-
-def _track_row(step: TrackStep) -> dict:
-    det = step.detection
-    return {
-        "frame_index": step.frame_index, "time": step.time,
-        "detected": det is not None,
-        "x": det.position[0] if det else None,
-        "y": det.position[1] if det else None,
-        "score": det.score if det else None,
-        "template_index": det.template_index if det else None,
-        "templates_evaluated": step.templates_evaluated,
-        "miss": det is None,
-        "window_x0": step.window_rect[0], "window_y0": step.window_rect[1],
-        "window_x1": step.window_rect[2], "window_y1": step.window_rect[3],
-        "half_width": step.half_width, "half_height": step.half_height,
-    }
-
-
 def cmd_track(args) -> int:
     cfg = resolve_config(args.config)
     frames = pgm.load_sequence(args.sequence, fps=cfg.fps)
     roi = _parse_roi(args.roi)
-    steps = run_track(frames, roi, cfg)
+    first = next(frames)
+    tracker = Tracker(cfg, frame_size=(first.width, first.height))
+    tracker.select(first, roi)
+
+    dump_dir = os.path.join(args.out, "frames") if args.dump_frames else None
+    if dump_dir:
+        os.makedirs(dump_dir, exist_ok=True)
+    shown: list[Frame] = []  # the frame of the record being yielded, for --dump-frames
+    source = ((frame, None) for frame in itertools.chain([first], frames))
+    records = []
+    for record in track_frames(tracker, source, sink=shown.append if dump_dir else None):
+        records.append(record)
+        if dump_dir:
+            pgm.write_pgm(os.path.join(dump_dir, pgm.frame_filename(record.frame_index)),
+                          annotate(shown.pop().pixels, record))
 
     os.makedirs(args.out, exist_ok=True)
     write_csv(os.path.join(args.out, "track_log.csv"), TRACK_COLUMNS,
-              [_track_row(s) for s in steps])
-    if args.dump_frames:
-        dump_dir = os.path.join(args.out, "frames")
-        os.makedirs(dump_dir, exist_ok=True)
-        for frame, step in zip(frames, steps):
-            pgm.write_pgm(
-                os.path.join(dump_dir, pgm.frame_filename(frame.frame_index)),
-                annotate(frame.pixels, step))
-
-    longest = _longest_miss_run(s.detection is None for s in steps)
-    n_det = sum(s.detection is not None for s in steps)
-    print(f"tracked {len(steps)} frames, {n_det} detections, "
-          f"longest miss run {longest}")
+              [vars(r) for r in records])
+    longest = _longest_miss_run(records)
+    print(f"tracked {len(records)} frames, {sum(r.detected for r in records)} "
+          f"detections, longest miss run {longest}")
     return 1 if longest > cfg.miss_run_limit else 0
-
-
-def _longest_miss_run(misses) -> int:
-    longest = run = 0
-    for m in misses:
-        run = run + 1 if m else 0
-        longest = max(longest, run)
-    return longest
 
 
 def _parse_roi(text: str) -> tuple[int, int, int, int]:
@@ -178,10 +125,12 @@ def cmd_simulate(args) -> int:
     report = simulator.run_closed_loop(scenario, cfg,
                                        frame_sink=_export_sink(args.export))
     os.makedirs(args.out, exist_ok=True)
-    write_report_csv(os.path.join(args.out, "report.csv"), report)
-    write_motor_csv(os.path.join(args.out, "motor_log.csv"), report)
+    rows = [vars(r) for r in report.records]
+    write_csv(os.path.join(args.out, "report.csv"), REPORT_COLUMNS, rows)
+    write_csv(os.path.join(args.out, "motor_log.csv"), MOTOR_COLUMNS,
+              [dict(row, saturated_flag=row["saturated"]) for row in rows])
 
-    longest = max(report.miss_runs(), default=0)
+    longest = _longest_miss_run(report.records)
     print(f"simulated {len(report.records)} frames, detection rate "
           f"{report.detection_rate():.3f}, false positives "
           f"{report.false_positive_count()}, longest miss run {longest}")
@@ -261,34 +210,20 @@ class _Clip:
             boxes.append((int(y0), int(x0), raster[y0:y1, x0:x1].copy(), frame.timestamp))
         return cls(scenario, base, boxes, renderer.target_rect_frame0())
 
-    def frame(self, k: int) -> tuple[np.ndarray, float]:
-        """The k-th 8-bit raster and its timestamp."""
-        y0, x0, pixels, ts = self.boxes[k]
-        raster = self.base.copy()
-        raster[y0:y0 + pixels.shape[0], x0:x0 + pixels.shape[1]] = pixels
-        return raster, ts
+    def frames(self) -> Iterator[tuple[Frame, None]]:
+        """The clip's frames, each rebuilt from its 8-bit raster when asked for."""
+        for k, (y0, x0, pixels, ts) in enumerate(self.boxes):
+            raster = self.base.copy()
+            raster[y0:y0 + pixels.shape[0], x0:x0 + pixels.shape[1]] = pixels
+            yield Frame(raster, timestamp=ts, frame_index=k), None
 
-
-def _frame_costs(cfg: TrackerConfig, clip: _Clip):
-    """Track ``clip``, yielding each frame's processing seconds and
-    templates evaluated. The timed part is frame construction, matching,
-    filtering and gimbal stepping; rebuilding the raster is not timed."""
-    s = clip.scenario
-    raster, ts = clip.frame(0)
-    tracker = Tracker(cfg, frame_size=(s.width, s.height))
-    tracker.select(Frame(raster, timestamp=ts), clip.roi)
-    cam = gim.CameraModel(hfov=cfg.hfov, vfov=cfg.vfov, width=s.width, height=s.height)
-    g = gim.GimbalState(pan_limit=cfg.pan_limit, tilt_limit=cfg.tilt_limit,
-                        max_rate=cfg.gimbal_max_rate,
-                        count_resolution=cfg.count_resolution)
-    center = ((s.width - 1) / 2.0, (s.height - 1) / 2.0)
-    dt = 1.0 / s.fps
-    for k in range(len(clip.boxes)):
-        raster, ts = clip.frame(k)
-        t0 = time.perf_counter()
-        step = tracker.process(Frame(raster, timestamp=ts, frame_index=k))
-        g, _ = gim.centering_step(step.detection, center, cam, g, dt)
-        yield time.perf_counter() - t0, step.templates_evaluated
+    def track(self, cfg: TrackerConfig) -> Iterator[FrameRecord]:
+        """Track the clip from its frame 0, stepping a gimbal."""
+        s = self.scenario
+        tracker = Tracker(cfg, frame_size=(s.width, s.height))
+        first, _ = next(self.frames())
+        tracker.select(first, self.roi)
+        return track_frames(tracker, self.frames(), Gimbal(cfg, s.width, s.height, s.fps))
 
 
 def run_benchmark(cfg: TrackerConfig, sizes: list[tuple[int, int]],
@@ -296,22 +231,23 @@ def run_benchmark(cfg: TrackerConfig, sizes: list[tuple[int, int]],
     """Time the tracking loop on pre-rendered 640x480 sequences.
 
     Rendering is excluded (frames are rasterized up front as 8-bit
-    arrays); the timed part covers frame construction, matching, filtering
-    and gimbal stepping. Each of ``BENCH_PASSES`` passes tracks every size
-    in lockstep, one frame of each in turn, so drift in machine speed hits
+    arrays); the timed part, each record's ``wall_ms``, covers rebuilding
+    the raster, frame construction, matching, filtering and gimbal
+    stepping. Each of ``BENCH_PASSES`` passes tracks every size in
+    lockstep, one frame of each in turn, so drift in machine speed hits
     every size alike; a row reports the median fps over the passes.
     """
     clips = [_Clip.render(w, h, n_frames) for w, h in sizes]
     fps: list[list[float]] = [[] for _ in sizes]
     for _ in range(BENCH_PASSES):
-        seconds = [0.0] * len(sizes)
+        ms = [0.0] * len(sizes)
         evals = [0] * len(sizes)
-        for costs in zip(*(_frame_costs(cfg, clip) for clip in clips)):
-            for i, (sec, n) in enumerate(costs):
-                seconds[i] += sec
-                evals[i] += n
+        for records in zip(*(clip.track(cfg) for clip in clips)):
+            for i, r in enumerate(records):
+                ms[i] += r.wall_ms
+                evals[i] += r.templates_evaluated
         for i, clip in enumerate(clips):
-            fps[i].append(len(clip.boxes) / seconds[i])
+            fps[i].append(len(clip.boxes) * 1e3 / ms[i])
     rows = [BenchmarkRow(patch_width=w, patch_height=h, frames=len(clip.boxes),
                          fps=statistics.median(rates), mean_templates=n / len(clip.boxes))
             for (w, h), clip, rates, n in zip(sizes, clips, fps, evals)]

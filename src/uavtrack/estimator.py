@@ -50,13 +50,11 @@ class TrackState:
 
 @dataclass(frozen=True)
 class NoiseModel:
-    """Per-step matrices: process Jacobian A, process noise Q, measurement
-    Jacobian H and measurement noise R."""
+    """Per-step matrices: process Jacobian A and process noise Q. The
+    measurement Jacobian and noise are fixed (module ``_H`` and ``_R``)."""
 
     A: np.ndarray
     Q: np.ndarray
-    H: np.ndarray
-    R: np.ndarray
 
 
 @dataclass(frozen=True)
@@ -85,10 +83,6 @@ class SearchWindow:
     @property
     def height(self) -> int:
         return self.y1 - self.y0
-
-    def contains(self, point: tuple[float, float]) -> bool:
-        x, y = point
-        return self.x0 <= x < self.x1 and self.y0 <= y < self.y1
 
 
 def full_frame_window(frame_width: int, frame_height: int) -> SearchWindow:
@@ -119,7 +113,7 @@ def build_noise(dt: float, sigma: float) -> NoiseModel:
                   [0.0, a, 0.0, b],
                   [b, 0.0, v, 0.0],
                   [0.0, b, 0.0, v]])
-    return NoiseModel(A=A, Q=Q, H=_H.copy(), R=_R.copy())
+    return NoiseModel(A=A, Q=Q)
 
 
 def init(detection: "Detection", t0: float, sigma: float = DEFAULT_SIGMA,
@@ -159,11 +153,6 @@ def correct(predicted: TrackState, z: tuple[float, float]) -> TrackState:
     P_new = (np.eye(4) - K @ _H) @ P
     P_new = 0.5 * (P_new + P_new.T)
     return replace(predicted, x=x, P=P_new)
-
-
-def miss(state: TrackState, t: float) -> TrackState:
-    """No detection this frame: propagate only, letting covariance grow."""
-    return predict(state, t)
 
 
 def search_window(state: TrackState, template_canvas: tuple[int, int],

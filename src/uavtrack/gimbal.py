@@ -10,6 +10,10 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
+from typing import TYPE_CHECKING
+
+if TYPE_CHECKING:
+    from .config import TrackerConfig
 
 COUNT_RESOLUTION_RAD = 1e-4
 DEFAULT_LIMIT_RAD = math.radians(15.0)
@@ -113,3 +117,25 @@ def viewport_offset_px(g: GimbalState, cam: CameraModel) -> tuple[int, int]:
     """Whole-pixel scene shift produced by the current pointing angles."""
     return (int(round(g.pan / cam.rad_per_px_x)),
             int(round(g.tilt / cam.rad_per_px_y)))
+
+
+class Gimbal:
+    """The pointing loop of one camera, built from config: the camera model,
+    the pan/tilt state, the frame centre the controller aims for and the
+    frame period. ``counts`` holds the most recent motor command."""
+
+    def __init__(self, cfg: "TrackerConfig", width: int, height: int, fps: float):
+        self.cam = CameraModel(hfov=cfg.hfov, vfov=cfg.vfov, width=width, height=height)
+        self.state = GimbalState(pan_limit=cfg.pan_limit, tilt_limit=cfg.tilt_limit,
+                                 max_rate=cfg.gimbal_max_rate,
+                                 count_resolution=cfg.count_resolution)
+        self.center = ((width - 1) / 2.0, (height - 1) / 2.0)
+        self.dt = 1.0 / fps
+        self.counts = (0, 0)
+
+    def viewport(self) -> tuple[int, int]:
+        return viewport_offset_px(self.state, self.cam)
+
+    def step(self, detection) -> None:
+        self.state, self.counts = centering_step(detection, self.center, self.cam,
+                                                 self.state, self.dt)

@@ -28,6 +28,13 @@ def _as_float_raster(pixels) -> np.ndarray:
     return a
 
 
+def _read_only(a: np.ndarray) -> np.ndarray:
+    """A read-only view of ``a``; the caller's own array stays writeable."""
+    v = a.view()
+    v.setflags(write=False)
+    return v
+
+
 @dataclass(frozen=True)
 class Frame:
     """Single-channel intensity raster with acquisition metadata."""
@@ -43,8 +50,7 @@ class Frame:
         lo, hi = float(a.min()), float(a.max())
         if not (0.0 <= lo and hi <= 255.0):  # NaN fails too
             raise ValueError(f"frame intensities must lie in [0, 255], got [{lo}, {hi}]")
-        a.setflags(write=False)
-        object.__setattr__(self, "pixels", a)
+        object.__setattr__(self, "pixels", _read_only(a))
 
     @property
     def width(self) -> int:
@@ -74,8 +80,7 @@ class Patch:
         a = _as_float_raster(self.pixels)
         if a.size == 0:
             raise DimensionMismatch("patch must be non-empty")
-        a.setflags(write=False)
-        object.__setattr__(self, "pixels", a)
+        object.__setattr__(self, "pixels", _read_only(a))
         if float(a.max()) == float(a.min()):
             m = float(a.flat[0])
             zm = np.zeros_like(a)
@@ -112,7 +117,6 @@ class TemplateBank:
 
     templates: tuple[Patch, ...]
     angle_step: float = BANK_STEP_DEG
-    base_index: int = 0
 
     @property
     def size(self) -> int:
@@ -122,9 +126,6 @@ class TemplateBank:
     def canvas(self) -> tuple[int, int]:
         t = self.templates[0]
         return (t.width, t.height)
-
-    def angle_of(self, index: int) -> float:
-        return (index % len(self.templates)) * self.angle_step
 
 
 def to_grayscale(rgb, timestamp: float = 0.0, frame_index: int = 0) -> Frame:

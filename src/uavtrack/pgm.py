@@ -10,6 +10,7 @@ from __future__ import annotations
 import math
 import os
 import re
+from typing import Iterable, Iterator
 
 import numpy as np
 
@@ -71,7 +72,7 @@ def frame_filename(index: int) -> str:
     return f"frame_{index:06d}.pgm"
 
 
-def write_sequence(dirpath: str, frames: list[Frame]) -> None:
+def write_sequence(dirpath: str, frames: Iterable[Frame]) -> None:
     """Write frames plus the timestamp sidecar."""
     os.makedirs(dirpath, exist_ok=True)
     lines = []
@@ -82,25 +83,22 @@ def write_sequence(dirpath: str, frames: list[Frame]) -> None:
         f.write("\n".join(lines) + "\n")
 
 
-def load_sequence(dirpath: str, fps: float = 25.0) -> list[Frame]:
-    """Load a PGM sequence in index order.
+def load_sequence(dirpath: str, fps: float = 25.0) -> Iterator[Frame]:
+    """Stream a PGM sequence in index order, one frame per step.
 
-    Raises ValueError for an empty directory, mismatched sidecar length, or
-    timestamps that are not finite or fail to strictly increase.
+    Every timestamp is checked before any frame is read. Raises ValueError
+    for an empty directory, mismatched sidecar length, or timestamps that
+    are not finite or fail to strictly increase; a malformed frame raises
+    ValueError when the iteration reaches it.
     """
     if not os.path.isdir(dirpath):
         raise ValueError(f"sequence directory not found: {dirpath}")
-    entries = []
-    for name in sorted(os.listdir(dirpath)):
-        m = _FRAME_RE.match(name)
-        if m:
-            entries.append((int(m.group(1)), name))
+    entries = sorted((int(m.group(1)), name) for name in os.listdir(dirpath)
+                     if (m := _FRAME_RE.match(name)))
     if not entries:
         raise ValueError(f"no frame_NNNNNN.pgm files in {dirpath}")
-    entries.sort()
 
     sidecar = os.path.join(dirpath, TIMESTAMP_SIDECAR)
-    timestamps: list[float] | None = None
     if os.path.exists(sidecar):
         with open(sidecar) as f:
             timestamps = [float(line) for line in f if line.strip()]
@@ -110,15 +108,13 @@ def load_sequence(dirpath: str, fps: float = 25.0) -> list[Frame]:
         if len(timestamps) != len(entries):
             raise ValueError(
                 f"{sidecar}: {len(timestamps)} timestamps for {len(entries)} frames")
-
-    frames = []
-    for k, (index, name) in enumerate(entries):
-        t = timestamps[k] if timestamps is not None else k / fps
-        frames.append(Frame(read_pgm(os.path.join(dirpath, name)),
-                            timestamp=t, frame_index=index))
-    for a, b in zip(frames, frames[1:]):
-        if b.timestamp <= a.timestamp:
+    else:
+        timestamps = [k / fps for k in range(len(entries))]
+    for k in range(1, len(entries)):
+        if timestamps[k] <= timestamps[k - 1]:
             raise ValueError(
-                f"timestamps must strictly increase: frame {a.frame_index} at "
-                f"{a.timestamp} followed by frame {b.frame_index} at {b.timestamp}")
-    return frames
+                f"timestamps must strictly increase: frame {entries[k - 1][0]} at "
+                f"{timestamps[k - 1]} followed by frame {entries[k][0]} at {timestamps[k]}")
+
+    return (Frame(read_pgm(os.path.join(dirpath, name)), timestamp=t, frame_index=index)
+            for (index, name), t in zip(entries, timestamps))

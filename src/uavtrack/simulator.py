@@ -13,7 +13,6 @@ Scenario positions are given in frame coordinates of the unshifted
 from __future__ import annotations
 
 import math
-import time
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -22,7 +21,7 @@ from . import gimbal as gim
 from .config import ConfigError, TrackerConfig, iter_kv_lines
 from .errors import InvalidScenario
 from .imaging import Frame, rotation_canvas_side, warp_raster
-from .tracker import Tracker, TrackStep
+from .tracker import FrameRecord, Tracker, track_frames
 
 Breakpoints = list[tuple[float, ...]]
 
@@ -102,45 +101,6 @@ class TruthRecord:
 
 
 @dataclass
-class GroundTruth:
-    records: list[TruthRecord]
-
-    def __iter__(self):
-        return iter(self.records)
-
-    def __len__(self):
-        return len(self.records)
-
-
-@dataclass
-class FrameRecord:
-    frame_index: int
-    time: float
-    detected: bool
-    x: int | None
-    y: int | None
-    score: float | None
-    template_index: int | None
-    templates_evaluated: int
-    miss: bool
-    window: tuple[int, int, int, int]
-    half_width: float
-    half_height: float
-    truth_visible: bool
-    truth_x: float
-    truth_y: float
-    truth_heading: float
-    gain: float
-    offset: float
-    pan_rad: float = 0.0
-    tilt_rad: float = 0.0
-    pan_counts: int = 0
-    tilt_counts: int = 0
-    saturated: bool = False
-    wall_ms: float = 0.0
-
-
-@dataclass
 class TrackReport:
     records: list[FrameRecord]
     canvas: tuple[int, int]
@@ -165,18 +125,6 @@ class TrackReport:
             elif math.hypot(r.x - r.truth_x, r.y - r.truth_y) > limit:
                 n += 1
         return n
-
-    def miss_runs(self) -> list[int]:
-        runs, run = [], 0
-        for r in self.records:
-            if r.miss:
-                run += 1
-            elif run:
-                runs.append(run)
-                run = 0
-        if run:
-            runs.append(run)
-        return runs
 
 
 # --------------------------------------------------------------------------
@@ -364,15 +312,11 @@ def _blend(dst: np.ndarray, src: np.ndarray, alpha: np.ndarray, x: int, y: int) 
 # Sequence rendering and the closed loop
 # --------------------------------------------------------------------------
 
-def render_sequence(scenario: Scenario) -> tuple[list[Frame], GroundTruth]:
+def render_sequence(scenario: Scenario) -> tuple[list[Frame], list[TruthRecord]]:
     """Open-loop rendering at zero viewport offset."""
     renderer = SceneRenderer(scenario)
-    frames, records = [], []
-    for k in range(scenario.n_frames):
-        frame, truth = renderer.render(k)
-        frames.append(frame)
-        records.append(truth)
-    return frames, GroundTruth(records)
+    frames, truth = zip(*(renderer.render(k) for k in range(scenario.n_frames)))
+    return list(frames), list(truth)
 
 
 def run_closed_loop(scenario: Scenario, cfg: TrackerConfig | None = None,
@@ -389,50 +333,16 @@ def run_closed_loop(scenario: Scenario, cfg: TrackerConfig | None = None,
     if s.in_dropout(0.0):
         raise InvalidScenario("target must be visible at frame 0 to select a template")
 
-    cam = gim.CameraModel(hfov=cfg.hfov, vfov=cfg.vfov, width=s.width, height=s.height)
-    g = gim.GimbalState(pan_limit=cfg.pan_limit, tilt_limit=cfg.tilt_limit,
-                        max_rate=cfg.gimbal_max_rate,
-                        count_resolution=cfg.count_resolution)
-    frame_center = ((s.width - 1) / 2.0, (s.height - 1) / 2.0)
-    dt = 1.0 / s.fps
-
-    frame0, _ = renderer.render(0, gim.viewport_offset_px(g, cam))
+    gimbal = gim.Gimbal(cfg, s.width, s.height, s.fps)
+    frame0, _ = renderer.render(0, gimbal.viewport())
     tracker = Tracker(cfg, frame_size=(s.width, s.height))
     tracker.select(frame0, renderer.target_rect_frame0())
 
-    records = []
-    for k in range(s.n_frames):
-        t0 = time.perf_counter()
-        frame, truth = renderer.render(k, gim.viewport_offset_px(g, cam))
-        if frame_sink is not None:
-            frame_sink(frame)
-        step = tracker.process(frame)
-        g, counts = gim.centering_step(step.detection, frame_center, cam, g, dt)
-        wall_ms = (time.perf_counter() - t0) * 1e3
-        records.append(_record(step, truth, g, counts, wall_ms))
+    # Lazy: frame k is rendered at the viewport left by frame k-1's gimbal step.
+    source = (renderer.render(k, gimbal.viewport()) for k in range(s.n_frames))
+    records = list(track_frames(tracker, source, gimbal, frame_sink))
     return TrackReport(records=records, canvas=tracker.canvas,
                        frame_size=(s.width, s.height))
-
-
-def _record(step: TrackStep, truth: TruthRecord, g: gim.GimbalState,
-            counts: tuple[int, int], wall_ms: float) -> FrameRecord:
-    det = step.detection
-    return FrameRecord(
-        frame_index=step.frame_index, time=step.time,
-        detected=det is not None,
-        x=det.position[0] if det else None,
-        y=det.position[1] if det else None,
-        score=det.score if det else None,
-        template_index=det.template_index if det else None,
-        templates_evaluated=step.templates_evaluated,
-        miss=det is None,
-        window=step.window_rect, half_width=step.half_width,
-        half_height=step.half_height,
-        truth_visible=truth.visible, truth_x=truth.x, truth_y=truth.y,
-        truth_heading=truth.heading, gain=truth.gain, offset=truth.offset,
-        pan_rad=g.pan, tilt_rad=g.tilt,
-        pan_counts=counts[0], tilt_counts=counts[1], saturated=g.saturated,
-        wall_ms=wall_ms)
 
 
 # --------------------------------------------------------------------------

@@ -1,14 +1,17 @@
-"""Per-frame tracking pipeline shared by the closed loop and the CLI.
+"""Per-frame tracking pipeline and the frame loop behind every command.
 
 Until the first detection the whole frame is searched; afterwards each
 frame is predicted, matched inside the covariance-derived window, and
-corrected (or propagated without correction on a miss).
+corrected (or propagated without correction on a miss). ``track_frames``
+runs that pipeline over a frame source for ``simulate``, ``track`` and
+``benchmark`` alike.
 """
 
 from __future__ import annotations
 
+import time
 from dataclasses import dataclass
-from typing import Optional
+from typing import TYPE_CHECKING, Callable, Iterable, Iterator, Optional
 
 import numpy as np
 
@@ -17,6 +20,10 @@ from .config import TrackerConfig
 from .errors import DimensionMismatch
 from .imaging import Frame, TemplateBank, build_template_bank, extract_patch
 from .matcher import Detection, SchedulerState
+
+if TYPE_CHECKING:
+    from .gimbal import Gimbal
+    from .simulator import TruthRecord
 
 
 @dataclass(frozen=True)
@@ -85,3 +92,92 @@ class Tracker:
     def _p0(self) -> np.ndarray:
         return np.diag([self.cfg.p0_pos, self.cfg.p0_pos,
                         self.cfg.p0_vel, self.cfg.p0_vel])
+
+
+@dataclass
+class FrameRecord:
+    """One frame's row: the tracking step, then the ground truth of a
+    simulated frame and the gimbal state after its step (None where the
+    run has no truth or no gimbal). Field names are the CSV column names."""
+
+    frame_index: int
+    time: float
+    detected: bool
+    x: int | None
+    y: int | None
+    score: float | None
+    template_index: int | None
+    templates_evaluated: int
+    miss: bool
+    window_x0: int
+    window_y0: int
+    window_x1: int
+    window_y1: int
+    half_width: float
+    half_height: float
+    truth_visible: bool | None = None
+    truth_x: float | None = None
+    truth_y: float | None = None
+    truth_heading: float | None = None
+    gain: float | None = None
+    offset: float | None = None
+    pan_rad: float | None = None
+    tilt_rad: float | None = None
+    pan_counts: int | None = None
+    tilt_counts: int | None = None
+    saturated: bool | None = None
+    wall_ms: float = 0.0
+
+    @property
+    def window(self) -> tuple[int, int, int, int]:
+        return (self.window_x0, self.window_y0, self.window_x1, self.window_y1)
+
+    @classmethod
+    def build(cls, step: TrackStep, truth: "TruthRecord | None",
+              gimbal: "Gimbal | None", wall_ms: float) -> "FrameRecord":
+        det = step.detection
+        extra = {}
+        if truth is not None:
+            extra.update(truth_visible=truth.visible, truth_x=truth.x, truth_y=truth.y,
+                         truth_heading=truth.heading, gain=truth.gain, offset=truth.offset)
+        if gimbal is not None:
+            g = gimbal.state
+            extra.update(pan_rad=g.pan, tilt_rad=g.tilt, pan_counts=gimbal.counts[0],
+                         tilt_counts=gimbal.counts[1], saturated=g.saturated)
+        x0, y0, x1, y1 = step.window_rect
+        return cls(
+            frame_index=step.frame_index, time=step.time, detected=det is not None,
+            x=det.position[0] if det else None, y=det.position[1] if det else None,
+            score=det.score if det else None,
+            template_index=det.template_index if det else None,
+            templates_evaluated=step.templates_evaluated, miss=det is None,
+            window_x0=x0, window_y0=y0, window_x1=x1, window_y1=y1,
+            half_width=step.half_width, half_height=step.half_height,
+            wall_ms=wall_ms, **extra)
+
+
+def track_frames(tracker: Tracker, source: Iterable[tuple[Frame, "TruthRecord | None"]],
+                 gimbal: "Gimbal | None" = None,
+                 sink: Callable[[Frame], None] | None = None) -> Iterator[FrameRecord]:
+    """Track every ``(frame, truth)`` pair ``source`` yields, one at a time.
+
+    Each frame goes to ``sink`` (if given), then through
+    ``tracker.process`` and a ``gimbal`` step (if given). ``wall_ms``
+    covers fetching the frame through the gimbal step. The source is
+    asked for the next frame only after the previous frame's gimbal step,
+    so a renderer that reads the gimbal's viewport closes the loop.
+    """
+    frames = iter(source)
+    while True:
+        t0 = time.perf_counter()
+        try:
+            frame, truth = next(frames)
+        except StopIteration:
+            return
+        if sink is not None:
+            sink(frame)
+        step = tracker.process(frame)
+        if gimbal is not None:
+            gimbal.step(step.detection)
+        wall_ms = (time.perf_counter() - t0) * 1e3
+        yield FrameRecord.build(step, truth, gimbal, wall_ms)

@@ -18,7 +18,7 @@ from uavtrack.cli import main, run_benchmark, DEFAULT_BENCH_SIZES
 from uavtrack.config import TrackerConfig
 from uavtrack.errors import UndefinedScore
 from uavtrack.estimator import build_noise, correct, init, predict
-from uavtrack.gimbal import CameraModel, GimbalState, step_gimbal
+from uavtrack.gimbal import Gimbal, GimbalState, step_gimbal
 from uavtrack.imaging import Frame, Patch
 from uavtrack.matcher import Detection, zmncc_fast, zmncc_oracle
 
@@ -171,11 +171,11 @@ def test_criterion_6_throughput_ordering():
 
 
 def test_criterion_7_gimbal_centering():
-    rep = simulator.run_closed_loop(simulator.centering_scenario())
-    cfg = TrackerConfig()
-    cam = CameraModel(hfov=cfg.hfov, vfov=cfg.vfov, width=320, height=240)
-    count_px = cfg.count_resolution / cam.rad_per_px_x
-    center = (319 / 2.0, 239 / 2.0)
+    scn = simulator.centering_scenario()
+    rep = simulator.run_closed_loop(scn)
+    gimbal = Gimbal(TrackerConfig(), scn.width, scn.height, scn.fps)
+    count_px = gimbal.state.count_resolution / gimbal.cam.rad_per_px_x
+    center = gimbal.center
     tail = [r for r in rep.records[-50:] if r.detected]
     steady = max(math.hypot(r.x - center[0], r.y - center[1]) for r in tail)
 

@@ -4,7 +4,7 @@ import os
 import pytest
 
 from uavtrack import pgm, simulator
-from uavtrack.cli import TRACK_COLUMNS, _export_sink, main
+from uavtrack.cli import REPORT_COLUMNS, TRACK_COLUMNS, _export_sink, main
 from uavtrack.errors import DimensionMismatch
 from uavtrack.imaging import Frame
 from uavtrack.tracker import Tracker
@@ -95,6 +95,19 @@ class TestTrackCommand:
         assert rc == 2
         assert "finite" in capsys.readouterr().err
 
+    def test_truncated_frame_exits_2_without_log(self, exported, tmp_path, capsys):
+        scn, _, seq = exported
+        s = simulator.parse_scenario(open(scn).read())
+        roi = simulator.SceneRenderer(s).target_rect_frame0()
+        path = seq / pgm.frame_filename(5)
+        path.write_bytes(path.read_bytes()[:-100])
+        out = tmp_path / "t"
+        rc = main(["track", str(seq), "--roi", ",".join(map(str, roi)),
+                   "--out", str(out)])
+        assert rc == 2
+        assert "frame_000005.pgm" in capsys.readouterr().err
+        assert not (out / "track_log.csv").exists()
+
     def test_long_miss_run_exits_1(self, tmp_path):
         s = quantized_scenario(duration=3.0,
                                dropouts=[(0.6, 3.0)])  # 60 trailing miss frames
@@ -125,6 +138,14 @@ class TestSimulateCommand:
         assert strip_timing(outs[0] / "report.csv") == strip_timing(outs[1] / "report.csv")
         assert (outs[0] / "motor_log.csv").read_bytes() == (outs[1] / "motor_log.csv").read_bytes()
 
+    def test_record_fields_are_the_report_columns(self):
+        s = quantized_scenario(duration=0.5)
+        r = simulator.run_closed_loop(s).records[3]
+        assert list(vars(r)) == REPORT_COLUMNS
+        assert REPORT_COLUMNS[:len(TRACK_COLUMNS)] == TRACK_COLUMNS
+        assert TRACK_COLUMNS[-1] == "half_height" and REPORT_COLUMNS[-1] == "wall_ms"
+        assert r.window == (r.window_x0, r.window_y0, r.window_x1, r.window_y1)
+
     def test_malformed_scenario_exits_2_with_line(self, tmp_path, capsys):
         bad = tmp_path / "bad.txt"
         bad.write_text("width=320\nheight=240\nwhat is this\n")
@@ -137,7 +158,7 @@ class TestSimulateCommand:
 
     def test_export_round_trips_through_loader(self, exported):
         _, _, seq = exported
-        frames = pgm.load_sequence(str(seq))
+        frames = list(pgm.load_sequence(str(seq)))
         assert len(frames) == 100
         assert frames[0].pixels.max() <= 255.0
 

@@ -3,7 +3,7 @@ import pytest
 
 from uavtrack.errors import InvalidTimestep
 from uavtrack.estimator import (
-    DEFAULT_P0_DIAG, TrackState, build_noise, correct, init, miss, predict,
+    DEFAULT_P0_DIAG, TrackState, build_noise, correct, init, predict,
     search_window,
 )
 from uavtrack.matcher import Detection
@@ -38,8 +38,6 @@ class TestBuildNoise:
         want = np.eye(4)
         want[0, 2] = want[1, 3] = 1.0
         assert np.array_equal(nm.A, want)
-        assert np.array_equal(nm.H, [[1, 0, 0, 0], [0, 1, 0, 0]])
-        assert np.array_equal(nm.R, np.eye(2))
 
     def test_zero_sigma_gives_zero_noise(self):
         assert not build_noise(0.5, 0.0).Q.any()
@@ -134,11 +132,6 @@ class TestPredictCorrect:
 
 
 class TestMissAndWindow:
-    def test_miss_equals_predict(self):
-        st = init(det(30, 40), 0.0)
-        a, b = miss(st, 0.5), predict(st, 0.5)
-        assert np.array_equal(a.x, b.x) and np.array_equal(a.P, b.P)
-
     def test_window_arithmetic(self):
         st = TrackState(x=np.array([100.0, 80.0, 0.0, 0.0]),
                         P=np.diag([4.0, 9.0, 0.0, 0.0]),
@@ -155,14 +148,14 @@ class TestMissAndWindow:
         t = 0.04
         for _ in range(30):
             t += 0.04
-            st = miss(st, t)
+            st = predict(st, t)
             win = search_window(st, (43, 43), (320, 240))
             halves.append((win.half_width, win.half_height))
         assert all(b[0] >= a[0] and b[1] >= a[1] for a, b in zip(halves, halves[1:]))
 
     def test_correction_shrinks_window_after_miss(self):
         st = init(det(160, 120), 0.0)
-        st = miss(st, 1.0)
+        st = predict(st, 1.0)
         before = search_window(st, (43, 43), (320, 240))
         st2 = correct(st, st.position)
         after = search_window(st2, (43, 43), (320, 240))

@@ -3,8 +3,9 @@ import math
 import numpy as np
 import pytest
 
+from uavtrack.config import TrackerConfig
 from uavtrack.gimbal import (
-    CameraModel, GimbalState, centering_step, pixel_error_to_counts,
+    CameraModel, Gimbal, GimbalState, centering_step, pixel_error_to_counts,
     step_gimbal, viewport_offset_px,
 )
 from uavtrack.matcher import Detection
@@ -101,3 +102,23 @@ class TestCentering:
             g = step_gimbal(g, counts, dt=float(rng.uniform(0.01, 0.5)))
             assert abs(g.pan) <= g.pan_limit + 1e-12
             assert abs(g.tilt) <= g.tilt_limit + 1e-12
+
+
+class TestGimbalBuilder:
+    def test_built_from_config(self):
+        cfg = TrackerConfig(gimbal_max_rate=0.05)
+        g = Gimbal(cfg, 320, 240, 25.0)
+        assert g.cam == CameraModel(hfov=cfg.hfov, vfov=cfg.vfov, width=320, height=240)
+        assert g.state == GimbalState(pan_limit=cfg.pan_limit, tilt_limit=cfg.tilt_limit,
+                                      max_rate=0.05, count_resolution=cfg.count_resolution)
+        assert g.center == (159.5, 119.5) and g.dt == 0.04
+        assert g.viewport() == (0, 0) and g.counts == (0, 0)
+
+    def test_step_is_centering_step(self):
+        g = Gimbal(TrackerConfig(), 320, 240, 25.0)
+        want, counts = centering_step(det(200, 100), g.center, g.cam, g.state, g.dt)
+        g.step(det(200, 100))
+        assert (g.state, g.counts) == (want, counts)
+        assert g.viewport() == viewport_offset_px(want, g.cam)
+        g.step(None)
+        assert (g.state.pan, g.state.tilt) == (want.pan, want.tilt) and g.counts == (0, 0)

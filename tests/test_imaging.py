@@ -63,6 +63,14 @@ class TestFramePatch:
         with pytest.raises(ValueError):
             f.pixels[0, 0] = 1.0
 
+    @pytest.mark.parametrize("cls", [Frame, Patch])
+    def test_callers_array_stays_writeable(self, cls):
+        a = np.full((4, 5), 7.0)
+        held = cls(a)
+        assert a.flags.writeable
+        assert not held.pixels.flags.writeable
+        a[0, 0] = 8.0  # no copy: the caller's array is not marked read-only
+
     def test_patch_caches(self, rng):
         a = rng.uniform(0, 255, (6, 7))
         p = Patch(a)
@@ -144,7 +152,6 @@ class TestTemplateBank:
         bank = build_template_bank(Patch(rng.uniform(0, 255, (10, 12))))
         assert bank.size == BANK_SIZE == 36
         assert bank.angle_step == 10.0
-        assert bank.base_index == 0
         dims = {(t.width, t.height) for t in bank.templates}
         assert len(dims) == 1
 

@@ -50,7 +50,7 @@ class TestSequences:
     def test_round_trip_with_sidecar(self, tmp_path, rng):
         frames = self._frames(rng)
         pgm.write_sequence(str(tmp_path), frames)
-        loaded = pgm.load_sequence(str(tmp_path))
+        loaded = list(pgm.load_sequence(str(tmp_path)))
         assert len(loaded) == len(frames)
         for a, b in zip(frames, loaded):
             assert np.array_equal(a.pixels, b.pixels)
@@ -89,3 +89,23 @@ class TestSequences:
         (tmp_path / pgm.TIMESTAMP_SIDECAR).write_text("0.0\n0.1\n")
         with pytest.raises(ValueError):
             pgm.load_sequence(str(tmp_path))
+
+    def test_no_frame_read_before_iteration(self, tmp_path, rng, monkeypatch):
+        pgm.write_sequence(str(tmp_path), self._frames(rng))
+        reads = []
+        real = pgm.read_pgm
+        monkeypatch.setattr(pgm, "read_pgm", lambda path: reads.append(path) or real(path))
+        frames = pgm.load_sequence(str(tmp_path))
+        assert reads == []
+        next(frames)
+        assert len(reads) == 1
+
+    @pytest.mark.parametrize("sidecar", ["0.0\n0.1\n0.2\nnan\n", "0.0\n0.1\n0.2\n0.3\n0.4\n"])
+    def test_bad_sidecar_rejected_before_any_read(self, tmp_path, rng, monkeypatch, sidecar):
+        pgm.write_sequence(str(tmp_path), self._frames(rng))
+        (tmp_path / pgm.TIMESTAMP_SIDECAR).write_text(sidecar)
+        reads = []
+        monkeypatch.setattr(pgm, "read_pgm", reads.append)
+        with pytest.raises(ValueError):
+            pgm.load_sequence(str(tmp_path))
+        assert reads == []

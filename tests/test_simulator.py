@@ -7,12 +7,14 @@ from conftest import window
 from uavtrack import simulator
 from uavtrack.config import ConfigError
 from uavtrack.errors import InvalidScenario
+from uavtrack.gimbal import GimbalState
 from uavtrack.imaging import Patch, extract_patch
 from uavtrack.matcher import zmncc_fast
 from uavtrack.simulator import (
     Scenario, SceneRenderer, benign_scenario, dropout_scenario,
     parse_scenario, render_sequence, run_closed_loop, scenario_text,
 )
+from uavtrack.tracker import TrackStep, track_frames
 
 
 def small_scenario(**overrides) -> Scenario:
@@ -51,7 +53,7 @@ class TestRendering:
         f0, truth0 = render_sequence(plain)
         f1, _ = render_sequence(lit)
         assert f1[0].pixels.max() < 255.0  # the invariance premise: no clipping
-        rec = truth0.records[0]
+        rec = truth0[0]
         side = SceneRenderer(plain).canvas_side
         roi = (int(rec.x - (side - 1) / 2), int(rec.y - (side - 1) / 2), 20, 20)
         tpl = extract_patch(f0[0], (roi[0] + (side - 20) // 2,
@@ -157,3 +159,31 @@ class TestClosedLoop:
         sprite = simulator.blob_sprite(np.random.default_rng(0), 30, 30, 62.0, 105.0)
         assert sprite.max() <= 195.0 and sprite.min() >= 15.0
         assert Patch(sprite).zm_norm > 0
+
+
+class TestFrameLoop:
+    def test_order_of_each_frames_stages(self):
+        events = []
+
+        class Stub:
+            def process(self, frame):
+                events.append(("process", frame))
+                return TrackStep(frame, 0.1 * frame, None, (0, 0, 4, 4), 2.0, 2.0, 1)
+
+            state = GimbalState()
+            counts = (0, 0)
+
+            def step(self, detection):
+                events.append(("step", None))
+
+        def source():
+            for k in range(3):
+                events.append(("fetch", k))
+                yield k, None
+
+        stub = Stub()
+        records = track_frames(stub, source(), stub, sink=lambda f: events.append(("sink", f)))
+        assert events == []  # nothing runs until a record is asked for
+        assert [r.frame_index for r in records] == [0, 1, 2]
+        assert events == [e for k in range(3) for e in
+                          (("fetch", k), ("sink", k), ("process", k), ("step", None))]
