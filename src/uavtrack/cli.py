@@ -267,6 +267,8 @@ def format_benchmark(result: BenchmarkResult) -> str:
 def cmd_benchmark(args) -> int:
     cfg = resolve_config(args.config)
     sizes = _parse_sizes(args.sizes) if args.sizes else DEFAULT_BENCH_SIZES
+    if args.frames < 1:
+        raise ConfigError(f"--frames must be at least 1, got {args.frames}")
     for w, h in sizes:
         if w < 4 or h < 4 or w > 320 or h > 240:
             raise ConfigError(f"patch size {w}x{h} out of range (4..half frame)")
@@ -327,7 +329,7 @@ def build_parser() -> argparse.ArgumentParser:
     b = sub.add_parser("benchmark", help="measure tracking throughput vs patch size")
     b.add_argument("--config", default=None, help="tracker config file")
     b.add_argument("--sizes", default=None, help="comma list of WxH patch sizes")
-    b.add_argument("--frames", type=int, default=600, help="frames per size (>= 500)")
+    b.add_argument("--frames", type=int, default=600, help="frames per size, at least 1 (default 600)")
     b.add_argument("--csv", default=None, help="also write the table as CSV")
     b.set_defaults(func=cmd_benchmark)
     return p

@@ -21,10 +21,12 @@ BANK_STEP_DEG = 10.0
 _LUMA = (0.299, 0.587, 0.114)
 
 
-def _as_float_raster(pixels) -> np.ndarray:
-    a = np.asarray(pixels, dtype=np.float64)
+def _raster(a: np.ndarray, what: str) -> np.ndarray:
+    """``a``, checked to be a non-empty 2-D raster."""
     if a.ndim != 2:
         raise DimensionMismatch(f"expected a 2-D raster, got shape {a.shape}")
+    if a.size == 0:
+        raise DimensionMismatch(f"{what} must be non-empty")
     return a
 
 
@@ -37,19 +39,27 @@ def _read_only(a: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True)
 class Frame:
-    """Single-channel intensity raster with acquisition metadata."""
+    """Single-channel intensity raster with acquisition metadata.
+
+    An 8-bit (``uint8``) raster is kept as it arrives: its type already
+    bounds it to [0, 255] and rules out NaN, so it is neither copied nor
+    scanned, and consumers convert only the pixels they read. Any other
+    input is converted to float64 and range-checked.
+    """
 
     pixels: np.ndarray
     timestamp: float = 0.0
     frame_index: int = 0
 
     def __post_init__(self):
-        a = _as_float_raster(self.pixels)
-        if a.size == 0:
-            raise DimensionMismatch("frame must be non-empty")
-        lo, hi = float(a.min()), float(a.max())
-        if not (0.0 <= lo and hi <= 255.0):  # NaN fails too
-            raise ValueError(f"frame intensities must lie in [0, 255], got [{lo}, {hi}]")
+        a = np.asarray(self.pixels)
+        if a.dtype == np.uint8:
+            _raster(a, "frame")
+        else:
+            a = _raster(a.astype(np.float64, copy=False), "frame")
+            lo, hi = float(a.min()), float(a.max())
+            if not (0.0 <= lo and hi <= 255.0):  # NaN fails too
+                raise ValueError(f"frame intensities must lie in [0, 255], got [{lo}, {hi}]")
         object.__setattr__(self, "pixels", _read_only(a))
 
     @property
@@ -77,9 +87,7 @@ class Patch:
     zm_pixels: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
-        a = _as_float_raster(self.pixels)
-        if a.size == 0:
-            raise DimensionMismatch("patch must be non-empty")
+        a = _raster(np.asarray(self.pixels, dtype=np.float64), "patch")
         object.__setattr__(self, "pixels", _read_only(a))
         if float(a.max()) == float(a.min()):
             m = float(a.flat[0])

@@ -9,7 +9,10 @@ everywhere.
 The fast path splits in two. ``WindowStats`` holds what depends only on the
 frame, the window and the template shape: the mean-centred region and its
 integral-image energies. ``detect`` builds it once per frame and shares it
-across the bank. The zero-mean numerator is then computed per template, by
+across the bank. A frame may keep 8-bit pixels; ``WindowStats`` converts
+only the clamped window to float64, and since sums of integers are exact in
+float64 its statistics, and so every score, equal those of the same frame
+held as float64. The zero-mean numerator is then computed per template, by
 cost (Lewis 1995, *Fast Normalized Cross-Correlation*): a direct product
 while placements x template area stays within ``_DIRECT_MAX_MACS``, which
 holds every steady-state window (about 4e5), and FFT cross-correlation of
@@ -167,12 +170,12 @@ class WindowStats:
 
         region = frame.pixels[y0:y1, x0:x1]
         # Centering on the region mean conditions the s2 - s1^2/n subtraction.
+        # It is also where an 8-bit region becomes float64: integer sums are
+        # exact in float64, so the result equals that of a float64 frame.
         g = region - region.mean()
 
-        s1 = np.zeros((g.shape[0] + 1, g.shape[1] + 1))
-        s2 = np.zeros_like(s1)
-        np.cumsum(np.cumsum(g, axis=0), axis=1, out=s1[1:, 1:])
-        np.cumsum(np.cumsum(g * g, axis=0), axis=1, out=s2[1:, 1:])
+        s1 = _integral_image(g)
+        s2 = _integral_image(g * g)
 
         wh = g.shape[0] - th + 1
         ww = g.shape[1] - tw + 1
@@ -201,6 +204,21 @@ class WindowStats:
         np.divide(num, np.sqrt(self.energy * (template.zm_norm ** 2)),
                   out=scores, where=self.defined)
         return CorrelationMap(scores=scores, x0=self.x0, y0=self.y0)
+
+
+def _integral_image(a: np.ndarray) -> np.ndarray:
+    """Zero-padded integral image: ``s[i, j]`` is the sum of ``a[:i, :j]``.
+
+    Accumulated in place, down the columns and then along the rows, which
+    adds in the same order as ``np.cumsum(np.cumsum(a, axis=0), axis=1)``
+    without its intermediate arrays.
+    """
+    s = np.zeros((a.shape[0] + 1, a.shape[1] + 1))
+    inner = s[1:, 1:]
+    inner[...] = a
+    np.add.accumulate(inner, axis=0, out=inner)
+    np.add.accumulate(inner, axis=1, out=inner)
+    return s
 
 
 def _fast_len(n: int) -> int:

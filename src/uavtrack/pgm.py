@@ -33,7 +33,11 @@ def write_pgm(path: str, pixels: np.ndarray) -> None:
 
 
 def read_pgm(path: str) -> np.ndarray:
-    """Read a binary P5 PGM into a float64 raster in [0, 255]."""
+    """Read a binary P5 PGM into a new, writeable ``uint8`` raster.
+
+    The pixels stay 8-bit: a ``Frame`` keeps them as they are and the
+    matcher converts only its search window to float64.
+    """
     with open(path, "rb") as f:
         data = f.read()
 
@@ -62,10 +66,10 @@ def read_pgm(path: str) -> np.ndarray:
     if maxval <= 0 or maxval > 255:
         raise ValueError(f"{path}: unsupported maxval {maxval} (8-bit only)")
     pos += 1  # single whitespace byte after maxval
-    raw = data[pos:pos + w * h]
+    raw = memoryview(data)[pos:pos + w * h]
     if len(raw) != w * h:
         raise ValueError(f"{path}: expected {w * h} pixel bytes, got {len(raw)}")
-    return np.frombuffer(raw, dtype=np.uint8).reshape(h, w).astype(np.float64)
+    return np.frombuffer(bytearray(raw), dtype=np.uint8).reshape(h, w)
 
 
 def frame_filename(index: int) -> str:

@@ -193,6 +193,11 @@ class TestBenchmarkCommand:
         assert main(["benchmark", "--sizes", "2x2"]) == 2
         assert main(["benchmark", "--sizes", "notasize"]) == 2
 
+    @pytest.mark.parametrize("frames", ["0", "-3"])
+    def test_bad_frames_exit_2(self, capsys, frames):
+        assert main(["benchmark", "--sizes", "20x22", "--frames", frames]) == 2
+        assert "--frames" in capsys.readouterr().err
+
 
 class TestTrackerGuards:
     def test_frame_size_mismatch_rejected(self, rng):

@@ -71,6 +71,26 @@ class TestFramePatch:
         assert not held.pixels.flags.writeable
         a[0, 0] = 8.0  # no copy: the caller's array is not marked read-only
 
+    def test_uint8_frame_kept_as_is(self, rng):
+        a = rng.integers(0, 256, (4, 5), dtype=np.uint8)
+        f = Frame(a)
+        assert f.pixels.dtype == np.uint8
+        assert np.shares_memory(f.pixels, a)
+        assert not f.pixels.flags.writeable
+        assert a.flags.writeable
+
+    @pytest.mark.parametrize("shape", [(4, 5, 3), (0, 5)])
+    def test_uint8_frame_must_be_2d_and_non_empty(self, shape):
+        with pytest.raises(DimensionMismatch):
+            Frame(np.zeros(shape, dtype=np.uint8))
+
+    def test_patch_from_uint8_frame_is_float64(self, rng):
+        a = rng.integers(0, 256, (6, 7), dtype=np.uint8)
+        p = extract_patch(Frame(a), (1, 2, 4, 3))
+        assert p.pixels.dtype == np.float64
+        assert np.array_equal(p.pixels, a[2:5, 1:5])
+        assert p.mean == Patch(a[2:5, 1:5].astype(np.float64)).mean
+
     def test_patch_caches(self, rng):
         a = rng.uniform(0, 255, (6, 7))
         p = Patch(a)

@@ -8,11 +8,11 @@ from conftest import window
 from uavtrack import estimator, matcher, simulator
 from uavtrack.errors import UndefinedScore, WindowTooSmall
 from uavtrack.imaging import (
-    Frame, Patch, build_template_bank, extract_patch, warp_raster,
+    Frame, Patch, TemplateBank, build_template_bank, extract_patch, warp_raster,
 )
 from uavtrack.matcher import (
-    SchedulerState, WindowStats, _fast_len, _fft_numerator, detect,
-    schedule_order, zmncc_fast, zmncc_oracle,
+    SchedulerState, WindowStats, _fast_len, _fft_numerator, _integral_image,
+    detect, schedule_order, zmncc_fast, zmncc_oracle,
 )
 
 
@@ -154,6 +154,17 @@ def all_placements(cmap):
 ROUGH_SIDES = [7, 11, 13, 14, 17, 19, 22, 23, 29, 31, 34, 37, 41, 43, 47]
 
 
+def draw_window(draw, fh, fw, th, tw):
+    """A window that may overhang an fw x fh frame but holds a tw x th
+    template once clamped to it."""
+    x0 = draw(st.integers(-8, fw - tw))
+    y0 = draw(st.integers(-8, fh - th))
+    x1 = draw(st.integers(x0 + tw, fw + 8))
+    y1 = draw(st.integers(y0 + th, fh + 8))
+    assume(min(fw, x1) - max(0, x0) >= tw and min(fh, y1) - max(0, y0) >= th)
+    return window(x0, y0, x1, y1)
+
+
 @st.composite
 def fft_cases(draw):
     """A frame, a template and a window that may overhang the frame edge."""
@@ -161,11 +172,7 @@ def fft_cases(draw):
     fw = draw(st.sampled_from(ROUGH_SIDES))
     th = draw(st.integers(3, min(12, fh)))
     tw = draw(st.integers(3, min(12, fw)))
-    x0 = draw(st.integers(-8, fw - tw))
-    y0 = draw(st.integers(-8, fh - th))
-    x1 = draw(st.integers(x0 + tw, fw + 8))
-    y1 = draw(st.integers(y0 + th, fh + 8))
-    assume(min(fw, x1) - max(0, x0) >= tw and min(fh, y1) - max(0, y0) >= th)
+    win = draw_window(draw, fh, fw, th, tw)
     rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
     if draw(st.booleans()):
         pixels = rng.integers(0, 256, (fh, fw)).astype(np.float64)
@@ -178,7 +185,7 @@ def fft_cases(draw):
         bx = int(rng.integers(0, fw - bw + 1))
         pixels[by:by + bh, bx:bx + bw] = float(rng.integers(0, 256))
     template = Patch(rng.uniform(0.0, 255.0, (th, tw)))
-    return Frame(pixels), template, window(x0, y0, x1, y1)
+    return Frame(pixels), template, win
 
 
 class TestFftNumerator:
@@ -251,6 +258,82 @@ class TestFftNumerator:
             (direct.position, direct.template_index, direct.frame_index)
         assert fft.score == pytest.approx(direct.score, abs=1e-12)
         assert s1 == s2 and s1.last_frame_evals == s2.last_frame_evals == 5
+
+
+def nested_cumsum(a):
+    """The integral image as two whole-array ``np.cumsum`` passes."""
+    s = np.zeros((a.shape[0] + 1, a.shape[1] + 1))
+    np.cumsum(np.cumsum(a, axis=0), axis=1, out=s[1:, 1:])
+    return s
+
+
+class TestIntegralImage:
+    @pytest.mark.parametrize("shape", [(480, 640), (240, 320)])
+    def test_full_frame_equals_nested_cumsum(self, rng, shape):
+        g = rng.uniform(-128.0, 128.0, shape)
+        for a in (g, g * g):
+            assert np.array_equal(_integral_image(a), nested_cumsum(a))
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.integers(1, 41), st.integers(1, 41), st.integers(0, 2 ** 32 - 1))
+    def test_equals_nested_cumsum(self, h, w, seed):
+        g = np.random.default_rng(seed).uniform(-128.0, 128.0, (h, w))
+        for a in (g, g * g):
+            assert np.array_equal(_integral_image(a), nested_cumsum(a))
+
+
+@st.composite
+def uint8_cases(draw):
+    """An 8-bit raster, a two-template bank whose second template is cut from
+    the raster, and a window that may overhang the frame edge."""
+    fh = draw(st.integers(4, 40))
+    fw = draw(st.integers(4, 40))
+    th = draw(st.integers(2, min(10, fh)))
+    tw = draw(st.integers(2, min(10, fw)))
+    win = draw_window(draw, fh, fw, th, tw)
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    lo = draw(st.integers(0, 255))
+    hi = draw(st.integers(lo, 255))  # narrow ranges give flat, undefined windows
+    raster = rng.integers(lo, hi + 1, (fh, fw), dtype=np.uint8)
+    cx = int(rng.integers(0, fw - tw + 1))
+    cy = int(rng.integers(0, fh - th + 1))
+    cut = Patch(raster[cy:cy + th, cx:cx + tw])
+    assume(not cut.is_constant)
+    bank = TemplateBank(templates=(Patch(rng.uniform(0.0, 255.0, (th, tw))), cut))
+    return raster, bank, win
+
+
+class TestEightBitFrames:
+    @settings(max_examples=150, deadline=None)
+    @given(uint8_cases())
+    def test_same_results_as_float64_frame(self, case):
+        raster, bank, win = case
+        f8, f64 = Frame(raster), Frame(raster.astype(np.float64))
+        shape = bank.templates[0].pixels.shape
+        s8, s64 = WindowStats(f8, win, shape), WindowStats(f64, win, shape)
+        for name in ("g", "energy", "defined"):
+            assert np.array_equal(getattr(s8, name), getattr(s64, name)), name
+        for template in bank.templates:
+            assert np.array_equal(zmncc_fast(f8, template, win).scores,
+                                  zmncc_fast(f64, template, win).scores, equal_nan=True)
+        sched8, sched64 = SchedulerState(), SchedulerState()
+        assert detect(f8, bank, sched8, win, 0.9) == detect(f64, bank, sched64, win, 0.9)
+        assert sched8 == sched64
+
+    def test_full_frame_640x480(self):
+        scn = simulator.benchmark_scenario(30, 33, n_frames=50)
+        renderer = simulator.SceneRenderer(scn)
+        raster = renderer.render(40)[0].pixels.astype(np.uint8)
+        template = build_template_bank(
+            extract_patch(Frame(raster), renderer.target_rect_frame0())).templates[3]
+        win = estimator.full_frame_window(640, 480)
+        f8, f64 = Frame(raster), Frame(raster.astype(np.float64))
+        s8, s64 = WindowStats(f8, win, template.pixels.shape), \
+            WindowStats(f64, win, template.pixels.shape)
+        for name in ("g", "energy", "defined"):
+            assert np.array_equal(getattr(s8, name), getattr(s64, name)), name
+        assert np.array_equal(zmncc_fast(f8, template, win, s8).scores,
+                              zmncc_fast(f64, template, win, s64).scores, equal_nan=True)
 
 
 class TestScheduler:

@@ -12,6 +12,17 @@ def test_round_trip_exact(tmp_path, rng):
     assert np.array_equal(pgm.read_pgm(path), a)
 
 
+def test_reads_uint8_and_round_trips(tmp_path, rng):
+    a = rng.integers(0, 256, (13, 17), dtype=np.uint8)
+    first, second = tmp_path / "a.pgm", tmp_path / "b.pgm"
+    pgm.write_pgm(str(first), a)
+    got = pgm.read_pgm(str(first))
+    assert got.dtype == np.uint8 and got.flags.writeable
+    assert np.array_equal(got, a)
+    pgm.write_pgm(str(second), got)
+    assert second.read_bytes() == first.read_bytes()
+
+
 def test_write_clips_and_rounds(tmp_path):
     path = str(tmp_path / "x.pgm")
     pgm.write_pgm(path, np.array([[-3.0, 12.6, 300.0]]))
