@@ -8,22 +8,21 @@ configuration, command line).
 """
 
 from .config import TrackerConfig
-from .imaging import Frame, Patch, TemplateBank, build_template_bank, extract_patch, to_grayscale, warp_rotate
+from .imaging import Frame, Patch, TemplateBank, build_template_bank, extract_patch, warp_rotate
 from .matcher import CorrelationMap, Detection, SchedulerState, detect, schedule_order, zmncc_fast, zmncc_oracle
 from .estimator import NoiseModel, SearchWindow, TrackState, build_noise, correct, init, predict, search_window
 from .gimbal import CameraModel, GimbalState, centering_step, pixel_error_to_counts, step_gimbal
-from .simulator import Scenario, TrackReport, render_sequence, run_closed_loop
+from .simulator import Scenario, TrackReport, run_closed_loop
 from .tracker import Tracker
 
 __all__ = [
     "TrackerConfig", "Frame", "Patch", "TemplateBank", "build_template_bank",
-    "extract_patch", "to_grayscale", "warp_rotate", "CorrelationMap",
+    "extract_patch", "warp_rotate", "CorrelationMap",
     "Detection", "SchedulerState", "detect", "schedule_order", "zmncc_fast",
     "zmncc_oracle", "NoiseModel", "SearchWindow", "TrackState", "build_noise",
     "correct", "init", "predict", "search_window", "CameraModel",
     "GimbalState", "centering_step", "pixel_error_to_counts", "step_gimbal",
-    "Scenario", "TrackReport", "render_sequence",
-    "run_closed_loop", "Tracker",
+    "Scenario", "TrackReport", "run_closed_loop", "Tracker",
 ]
 
 __version__ = "0.1.0"

@@ -23,8 +23,6 @@ class ConfigError(ValueError):
 class TrackerConfig:
     zmncc_threshold: float = 0.9
     sigma: float = 0.4
-    template_budget: int = 7
-    bank_size: int = 36
     hfov_deg: float = 40.0
     vfov_deg: float = 30.0
     pan_limit_deg: float = 15.0
@@ -39,10 +37,6 @@ class TrackerConfig:
     def validate(self) -> "TrackerConfig":
         if not 0.0 < self.zmncc_threshold <= 1.0:
             raise ConfigError(f"zmncc_threshold must be in (0, 1], got {self.zmncc_threshold}")
-        if self.template_budget != 7:
-            raise ConfigError(f"template_budget is fixed at 7, got {self.template_budget}")
-        if self.bank_size != 36:
-            raise ConfigError(f"bank_size is fixed at 36, got {self.bank_size}")
         for key in ("sigma", "hfov_deg", "vfov_deg", "pan_limit_deg", "tilt_limit_deg",
                     "gimbal_max_rate", "count_resolution", "fps", "p0_pos", "p0_vel"):
             if getattr(self, key) <= 0:

@@ -1,4 +1,4 @@
-"""Image containers, grayscale conversion, rotation warping and template banks.
+"""Image containers, rotation warping and template banks.
 
 Conventions used throughout the package: origin at the top-left corner,
 x rightward, y downward, integer pixel centers, intensities in [0, 255].
@@ -16,9 +16,6 @@ from .errors import DimensionMismatch, NonDiscriminativeTemplate, OutOfBounds
 
 BANK_SIZE = 36
 BANK_STEP_DEG = 10.0
-
-# Luma weights (ITU-R BT.601).
-_LUMA = (0.299, 0.587, 0.114)
 
 
 def _raster(a: np.ndarray, what: str) -> np.ndarray:
@@ -119,12 +116,11 @@ class Patch:
 class TemplateBank:
     """Rotated copies of one patch at a fixed angular spacing.
 
-    Template k is the source patch rotated clockwise by k * angle_step
+    Template k is the source patch rotated clockwise by k * BANK_STEP_DEG
     degrees, rendered on a shared square canvas.
     """
 
     templates: tuple[Patch, ...]
-    angle_step: float = BANK_STEP_DEG
 
     @property
     def size(self) -> int:
@@ -134,29 +130,6 @@ class TemplateBank:
     def canvas(self) -> tuple[int, int]:
         t = self.templates[0]
         return (t.width, t.height)
-
-
-def to_grayscale(rgb, timestamp: float = 0.0, frame_index: int = 0) -> Frame:
-    """Convert a 3-channel raster to a luma Frame.
-
-    Accepts either an (H, W, 3) array or a sequence of three (H, W) channel
-    arrays ordered R, G, B.
-    """
-    if isinstance(rgb, (list, tuple)):
-        if len(rgb) != 3:
-            raise DimensionMismatch(f"expected 3 channels, got {len(rgb)}")
-        chans = [np.asarray(c, dtype=np.float64) for c in rgb]
-        if not (chans[0].shape == chans[1].shape == chans[2].shape):
-            raise DimensionMismatch(
-                f"channel shapes differ: {[c.shape for c in chans]}")
-        r, g, b = chans
-    else:
-        a = np.asarray(rgb, dtype=np.float64)
-        if a.ndim != 3 or a.shape[2] != 3:
-            raise DimensionMismatch(f"expected an (H, W, 3) raster, got shape {a.shape}")
-        r, g, b = a[..., 0], a[..., 1], a[..., 2]
-    gray = _LUMA[0] * r + _LUMA[1] * g + _LUMA[2] * b
-    return Frame(gray, timestamp=timestamp, frame_index=frame_index)
 
 
 def extract_patch(frame: Frame, roi: tuple[int, int, int, int]) -> Patch:

@@ -7,23 +7,26 @@ search window. The fast path is required to agree with the oracle to 1e-9
 everywhere.
 
 The fast path splits in two. ``WindowStats`` holds what depends only on the
-frame, the window and the template shape: the mean-centred region and its
-integral-image energies. ``detect`` builds it once per frame and shares it
+frame, the window and the template shape: the mean-centred region, its
+integral-image energies and, built on first use, the placement matrix and
+the region's spectrum. ``detect`` builds it once per frame and shares it
 across the bank. A frame may keep 8-bit pixels; ``WindowStats`` converts
 only the clamped window to float64, and since sums of integers are exact in
 float64 its statistics, and so every score, equal those of the same frame
 held as float64. The zero-mean numerator is then computed per template, by
-cost (Lewis 1995, *Fast Normalized Cross-Correlation*): a direct product
-while placements x template area stays within ``_DIRECT_MAX_MACS``, which
-holds every steady-state window (about 4e5), and FFT cross-correlation of
-the region, padded to a 5-smooth size, beyond it (full-frame acquisition,
-windows grown by a long miss). On a 640x480 frame with a 45x45 canvas the
-direct map takes about 170 ms and the FFT map about 3 ms (one thread of a
-2-core AMD EPYC virtual machine).
+cost (Lewis 1995, *Fast Normalized Cross-Correlation*): one matrix-vector
+product with the shared placement matrix while placements x template area
+stays within ``_DIRECT_MAX_MACS``, which holds every steady-state window
+(about 4e5), and FFT cross-correlation of the region, padded to a 5-smooth
+size, beyond it (full-frame acquisition, windows grown by a long miss). On
+a 640x480 frame with a 45x45 canvas the direct map would take about 170 ms
+and the FFT map takes about 3 ms (one thread of a 2-core AMD EPYC virtual
+machine).
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Optional
@@ -43,14 +46,12 @@ TEMPLATE_BUDGET = 7
 # yields an energy >= ~1 while float residue on a flat window stays < 1e-4.
 _FLAT_ENERGY_TOL = 1e-3
 
-# Cap on placements x template-area elements materialized per direct
-# numerator chunk (about 16 MB of float64).
-_CHUNK_ELEMS = 2_000_000
-
 # Windows with more placements x template-area multiply-adds than this take
-# the FFT numerator. Steady-state windows stay well below it (about 4e5);
-# full-frame acquisition and windows grown by a long miss exceed it.
-_DIRECT_MAX_MACS = 4_000_000
+# the FFT numerator. It also caps the direct path's placement matrix, one
+# float64 per multiply-add, at 16 MB. Steady-state windows stay well below
+# it (about 4e5); full-frame acquisition and windows grown by a long miss
+# exceed it.
+_DIRECT_MAX_MACS = 2_000_000
 
 
 @dataclass(frozen=True)
@@ -104,7 +105,6 @@ class SchedulerState:
 
     last_matched_index: Optional[int] = None
     fallback_start_index: int = 0
-    budget: int = TEMPLATE_BUDGET
     last_frame_missed: bool = False
     last_frame_evals: int = field(default=0, compare=False)
 
@@ -115,10 +115,9 @@ class SchedulerState:
 
 
 def schedule_order(sched: SchedulerState, bank_size: int = 36) -> list[int]:
-    """Template indices to try this frame, in order, at most ``budget``."""
+    """Template indices to try this frame, in order, at most ``TEMPLATE_BUDGET``."""
     start = sched.start_index(bank_size)
-    n = min(sched.budget, bank_size)
-    return [(start + i) % bank_size for i in range(n)]
+    return [(start + i) % bank_size for i in range(min(TEMPLATE_BUDGET, bank_size))]
 
 
 def zmncc_oracle(frame_region: np.ndarray, template: Patch,
@@ -153,9 +152,10 @@ class WindowStats:
     Built once per frame and window for one template shape and shared by
     every bank template tried on that frame (all bank templates share one
     canvas). Holds the clamped region centred on its mean, the integral-image
-    zero-mean ``energy`` of every placement, the ``defined`` mask of
-    placements whose content is not constant, and, on first use by the FFT
-    numerator, the region's spectrum.
+    zero-mean ``energy`` of every placement and the ``defined`` mask of
+    placements whose content is not constant. What only one numerator needs
+    is built on its first use: the placement matrix for the direct product
+    and the region's spectrum for the FFT.
     """
 
     def __init__(self, frame: Frame, window: "SearchWindow", shape: tuple[int, int]):
@@ -174,23 +174,33 @@ class WindowStats:
         # exact in float64, so the result equals that of a float64 frame.
         g = region - region.mean()
 
-        s1 = _integral_image(g)
-        s2 = _integral_image(g * g)
-
+        s = _integral_image(g, g * g)
         wh = g.shape[0] - th + 1
         ww = g.shape[1] - tw + 1
-        win_sum = s1[th:th + wh, tw:tw + ww] - s1[:wh, tw:tw + ww] \
-            - s1[th:th + wh, :ww] + s1[:wh, :ww]
-        win_sq = s2[th:th + wh, tw:tw + ww] - s2[:wh, tw:tw + ww] \
-            - s2[th:th + wh, :ww] + s2[:wh, :ww]
+        win_sum, win_sq = s[:, th:th + wh, tw:tw + ww] - s[:, :wh, tw:tw + ww] \
+            - s[:, th:th + wh, :ww] + s[:, :wh, :ww]
 
         self.shape = (th, tw)
         self.x0, self.y0 = x0, y0
         self.g = g
         self.energy = np.maximum(win_sq - win_sum * win_sum / (th * tw), 0.0)
         self.defined = self.energy > _FLAT_ENERGY_TOL
-        self.fft_shape = (_fast_len(g.shape[0]), _fast_len(g.shape[1]))
+        self._placements: Optional[np.ndarray] = None
         self._spectrum: Optional[np.ndarray] = None
+
+    def placements(self) -> np.ndarray:
+        """Every placement's pixels as one row of a C-contiguous
+        ``(placements, template area)`` matrix, in row-major placement order."""
+        if self._placements is None:
+            th, tw = self.shape
+            view = np.lib.stride_tricks.sliding_window_view(self.g, (th, tw))
+            self._placements = view.reshape(-1, th * tw)  # copies the strided view
+        return self._placements
+
+    @functools.cached_property
+    def fft_shape(self) -> tuple[int, int]:
+        """Padded FFT size: the region's sides rounded up to 5-smooth lengths."""
+        return (_fast_len(self.g.shape[0]), _fast_len(self.g.shape[1]))
 
     def spectrum(self) -> np.ndarray:
         """``rfft2`` of the centred region, zero-padded to ``fft_shape``."""
@@ -206,18 +216,22 @@ class WindowStats:
         return CorrelationMap(scores=scores, x0=self.x0, y0=self.y0)
 
 
-def _integral_image(a: np.ndarray) -> np.ndarray:
-    """Zero-padded integral image: ``s[i, j]`` is the sum of ``a[:i, :j]``.
+def _integral_image(*planes: np.ndarray) -> np.ndarray:
+    """Zero-padded integral images of equal-shaped planes, stacked:
+    ``s[p, i, j]`` is the sum of ``planes[p][:i, :j]``.
 
     Accumulated in place, down the columns and then along the rows, which
-    adds in the same order as ``np.cumsum(np.cumsum(a, axis=0), axis=1)``
-    without its intermediate arrays.
+    adds each plane in the same order as
+    ``np.cumsum(np.cumsum(a, axis=0), axis=1)`` without its intermediate
+    arrays.
     """
-    s = np.zeros((a.shape[0] + 1, a.shape[1] + 1))
-    inner = s[1:, 1:]
-    inner[...] = a
-    np.add.accumulate(inner, axis=0, out=inner)
+    h, w = planes[0].shape
+    s = np.zeros((len(planes), h + 1, w + 1))
+    inner = s[:, 1:, 1:]
+    for p, a in enumerate(planes):
+        inner[p] = a
     np.add.accumulate(inner, axis=1, out=inner)
+    np.add.accumulate(inner, axis=2, out=inner)
     return s
 
 
@@ -234,16 +248,11 @@ def _fast_len(n: int) -> int:
 
 
 def _direct_numerator(stats: WindowStats, tzm: np.ndarray) -> np.ndarray:
-    """Zero-mean numerator as a direct product at every placement."""
+    """Zero-mean numerator as a direct product at every placement: the
+    window's shared placement matrix times the flattened template."""
     th, tw = tzm.shape
     wh, ww = stats.energy.shape
-    num = np.empty((wh, ww))
-    view = np.lib.stride_tricks.sliding_window_view(stats.g, (th, tw))
-    rows_per_chunk = max(1, _CHUNK_ELEMS // (ww * th * tw))
-    for r in range(0, wh, rows_per_chunk):
-        stop = min(wh, r + rows_per_chunk)
-        num[r:stop] = np.tensordot(view[r:stop], tzm, axes=([2, 3], [0, 1]))
-    return num
+    return np.dot(stats.placements(), tzm.reshape(th * tw, 1)).reshape(wh, ww)
 
 
 def _fft_numerator(stats: WindowStats, tzm: np.ndarray) -> np.ndarray:
@@ -301,7 +310,7 @@ def _centroid_cluster(us: np.ndarray, vs: np.ndarray, scores: np.ndarray,
 
 def detect(frame: Frame, bank: TemplateBank, sched: SchedulerState,
            window: "SearchWindow", threshold: float) -> Optional[Detection]:
-    """Try up to ``budget`` bank templates in scheduler order.
+    """Try up to ``TEMPLATE_BUDGET`` bank templates in scheduler order.
 
     Stops at the first template whose map has any score >= threshold; the
     detection position is the centroid of that template's matching
@@ -325,7 +334,7 @@ def detect(frame: Frame, bank: TemplateBank, sched: SchedulerState,
         cmap = zmncc_fast(frame, template, window, stats)
         evals += 1
         hits = cmap.scores >= threshold  # NaN compares False
-        if not np.any(hits):
+        if not hits.any():
             continue
         vs, us = np.nonzero(hits)
         cu, cv, best = _centroid_cluster(

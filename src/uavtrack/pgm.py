@@ -90,9 +90,11 @@ def write_sequence(dirpath: str, frames: Iterable[Frame]) -> None:
 def load_sequence(dirpath: str, fps: float = 25.0) -> Iterator[Frame]:
     """Stream a PGM sequence in index order, one frame per step.
 
-    Every timestamp is checked before any frame is read. Raises ValueError
-    for an empty directory, mismatched sidecar length, or timestamps that
-    are not finite or fail to strictly increase; a malformed frame raises
+    Without a sidecar, frame N is at N / fps, so a gap in the indices is a
+    gap in time. Every timestamp is checked before any frame is read. Raises
+    ValueError for an empty directory, mismatched sidecar length, a sidecar
+    line that is not a finite number (named by its line number), or
+    timestamps that fail to strictly increase; a malformed frame raises
     ValueError when the iteration reaches it.
     """
     if not os.path.isdir(dirpath):
@@ -105,15 +107,13 @@ def load_sequence(dirpath: str, fps: float = 25.0) -> Iterator[Frame]:
     sidecar = os.path.join(dirpath, TIMESTAMP_SIDECAR)
     if os.path.exists(sidecar):
         with open(sidecar) as f:
-            timestamps = [float(line) for line in f if line.strip()]
-        for k, t in enumerate(timestamps):
-            if not math.isfinite(t):
-                raise ValueError(f"{sidecar}: timestamp {k} is {t}, not a finite number")
+            timestamps = [_parse_timestamp(line, sidecar, lineno)
+                          for lineno, line in enumerate(f, start=1) if line.strip()]
         if len(timestamps) != len(entries):
             raise ValueError(
                 f"{sidecar}: {len(timestamps)} timestamps for {len(entries)} frames")
     else:
-        timestamps = [k / fps for k in range(len(entries))]
+        timestamps = [index / fps for index, _ in entries]
     for k in range(1, len(entries)):
         if timestamps[k] <= timestamps[k - 1]:
             raise ValueError(
@@ -122,3 +122,15 @@ def load_sequence(dirpath: str, fps: float = 25.0) -> Iterator[Frame]:
 
     return (Frame(read_pgm(os.path.join(dirpath, name)), timestamp=t, frame_index=index)
             for (index, name), t in zip(entries, timestamps))
+
+
+def _parse_timestamp(line: str, sidecar: str, lineno: int) -> float:
+    """One sidecar line as a finite number of seconds."""
+    try:
+        t = float(line)
+    except ValueError:
+        raise ValueError(
+            f"{sidecar}:{lineno}: cannot parse '{line.strip()}' as a timestamp") from None
+    if not math.isfinite(t):
+        raise ValueError(f"{sidecar}:{lineno}: timestamp {t} is not a finite number")
+    return t

@@ -309,15 +309,8 @@ def _blend(dst: np.ndarray, src: np.ndarray, alpha: np.ndarray, x: int, y: int) 
 
 
 # --------------------------------------------------------------------------
-# Sequence rendering and the closed loop
+# The closed loop
 # --------------------------------------------------------------------------
-
-def render_sequence(scenario: Scenario) -> tuple[list[Frame], list[TruthRecord]]:
-    """Open-loop rendering at zero viewport offset."""
-    renderer = SceneRenderer(scenario)
-    frames, truth = zip(*(renderer.render(k) for k in range(scenario.n_frames)))
-    return list(frames), list(truth)
-
 
 def run_closed_loop(scenario: Scenario, cfg: TrackerConfig | None = None,
                     frame_sink=None) -> TrackReport:

@@ -44,7 +44,7 @@ class Tracker:
         self.cfg = cfg.validate()
         self.frame_size = frame_size
         self.bank: TemplateBank | None = None
-        self.sched = SchedulerState(budget=cfg.template_budget)
+        self.sched = SchedulerState()
         self.state: estimator.TrackState | None = None
 
     @property
@@ -57,7 +57,7 @@ class Tracker:
         """Cut the template from ``frame`` and build the rotation bank."""
         patch = extract_patch(frame, roi)
         self.bank = build_template_bank(patch)
-        self.sched = SchedulerState(budget=self.cfg.template_budget)
+        self.sched = SchedulerState()
         self.state = None
 
     def process(self, frame: Frame) -> TrackStep:

@@ -3,6 +3,7 @@ import os
 
 import pytest
 
+from conftest import render_open_loop
 from uavtrack import pgm, simulator
 from uavtrack.cli import REPORT_COLUMNS, TRACK_COLUMNS, _export_sink, main
 from uavtrack.errors import DimensionMismatch
@@ -95,6 +96,17 @@ class TestTrackCommand:
         assert rc == 2
         assert "finite" in capsys.readouterr().err
 
+    def test_non_numeric_timestamp_exits_2_with_line(self, exported, tmp_path, capsys):
+        _, _, seq = exported
+        sidecar = seq / pgm.TIMESTAMP_SIDECAR
+        lines = sidecar.read_text().splitlines()
+        lines[3] = "soon"
+        sidecar.write_text("\n".join(lines) + "\n")
+        rc = main(["track", str(seq), "--roi", "10,10,30,30",
+                   "--out", str(tmp_path / "t")])
+        assert rc == 2
+        assert f"{pgm.TIMESTAMP_SIDECAR}:4: cannot parse 'soon'" in capsys.readouterr().err
+
     def test_truncated_frame_exits_2_without_log(self, exported, tmp_path, capsys):
         scn, _, seq = exported
         s = simulator.parse_scenario(open(scn).read())
@@ -111,7 +123,7 @@ class TestTrackCommand:
     def test_long_miss_run_exits_1(self, tmp_path):
         s = quantized_scenario(duration=3.0,
                                dropouts=[(0.6, 3.0)])  # 60 trailing miss frames
-        frames, _ = simulator.render_sequence(s)
+        frames, _ = render_open_loop(s)
         seq = tmp_path / "seq"
         pgm.write_sequence(str(seq), frames)
         roi = simulator.SceneRenderer(s).target_rect_frame0()
@@ -214,7 +226,7 @@ class TestTrackerGuards:
     def test_full_frame_search_until_first_hit(self, rng):
         # target absent in early frames: tracker keeps searching the whole frame
         s = quantized_scenario(duration=2.0, dropouts=[(0.04, 0.4)])
-        frames, truth = simulator.render_sequence(s)
+        frames, truth = render_open_loop(s)
         roi = simulator.SceneRenderer(s).target_rect_frame0()
         tracker = Tracker(TrackerConfig(), frame_size=(s.width, s.height))
         tracker.select(frames[0], roi)

@@ -4,7 +4,7 @@ import pytest
 from uavtrack.errors import DimensionMismatch, NonDiscriminativeTemplate, OutOfBounds
 from uavtrack.imaging import (
     BANK_SIZE, Frame, Patch, build_template_bank, extract_patch,
-    rotation_canvas_side, to_grayscale, warp_raster, warp_rotate,
+    rotation_canvas_side, warp_raster, warp_rotate,
 )
 
 
@@ -16,32 +16,6 @@ def embed(patch: Patch) -> tuple[np.ndarray, int, int]:
     mx, my = (side - w) // 2, (side - h) // 2
     canvas[my:my + h, mx:mx + w] = patch.pixels
     return canvas, mx, my
-
-
-class TestGrayscale:
-    def test_gray_input_is_fixed_point(self):
-        f = to_grayscale([np.full((1, 1), 100.0)] * 3)
-        assert f.pixels[0, 0] == pytest.approx(100.0, abs=1e-12)
-
-    def test_pure_red(self):
-        f = to_grayscale([np.full((1, 1), 255.0), np.zeros((1, 1)), np.zeros((1, 1))])
-        assert f.pixels[0, 0] == 0.299 * 255.0
-
-    def test_matches_scalar_oracle(self, rng):
-        rgb = rng.uniform(0, 255, (4, 4, 3))
-        f = to_grayscale(rgb)
-        for y in range(4):
-            for x in range(4):
-                want = 0.299 * rgb[y, x, 0] + 0.587 * rgb[y, x, 1] + 0.114 * rgb[y, x, 2]
-                assert abs(f.pixels[y, x] - want) < 1e-12
-
-    def test_channel_mismatch(self):
-        with pytest.raises(DimensionMismatch):
-            to_grayscale([np.zeros((2, 2)), np.zeros((2, 3)), np.zeros((2, 2))])
-
-    def test_stacked_array_input(self, rng):
-        rgb = rng.uniform(0, 255, (3, 5, 3))
-        assert to_grayscale(rgb).pixels.shape == (3, 5)
 
 
 class TestFramePatch:
@@ -171,7 +145,6 @@ class TestTemplateBank:
     def test_shape_and_step(self, rng):
         bank = build_template_bank(Patch(rng.uniform(0, 255, (10, 12))))
         assert bank.size == BANK_SIZE == 36
-        assert bank.angle_step == 10.0
         dims = {(t.width, t.height) for t in bank.templates}
         assert len(dims) == 1
 

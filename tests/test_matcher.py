@@ -11,8 +11,8 @@ from uavtrack.imaging import (
     Frame, Patch, TemplateBank, build_template_bank, extract_patch, warp_raster,
 )
 from uavtrack.matcher import (
-    SchedulerState, WindowStats, _fast_len, _fft_numerator, _integral_image,
-    detect, schedule_order, zmncc_fast, zmncc_oracle,
+    SchedulerState, WindowStats, _direct_numerator, _fast_len, _fft_numerator,
+    _integral_image, detect, schedule_order, zmncc_fast, zmncc_oracle,
 )
 
 
@@ -260,6 +260,78 @@ class TestFftNumerator:
         assert s1 == s2 and s1.last_frame_evals == s2.last_frame_evals == 5
 
 
+@st.composite
+def direct_cases(draw):
+    """A frame, a template up to the largest steady canvas (45x45), square
+    or not, and a window that may overhang the frame edge."""
+    th = draw(st.integers(2, 45))
+    tw = draw(st.integers(2, 45))
+    fh = draw(st.integers(th, th + 40))
+    fw = draw(st.integers(tw, tw + 40))
+    win = draw_window(draw, fh, fw, th, tw)
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    if draw(st.booleans()):
+        pixels = rng.integers(0, 256, (fh, fw), dtype=np.uint8)
+    else:
+        pixels = rng.uniform(0.0, 255.0, (fh, fw))
+    return Frame(pixels), Patch(rng.uniform(0.0, 255.0, (th, tw))), win
+
+
+class TestPlacementMatrix:
+    @settings(max_examples=150, deadline=None)
+    @given(direct_cases())
+    def test_equals_tensordot_of_sliding_view(self, case):
+        frame, template, win = case
+        stats = WindowStats(frame, win, template.pixels.shape)
+        tzm = template.zm_pixels
+        # The direct numerator before the matrix was shared across the bank.
+        view = np.lib.stride_tricks.sliding_window_view(stats.g, tzm.shape)
+        want = np.tensordot(view, tzm, axes=([2, 3], [0, 1]))
+        assert np.array_equal(_direct_numerator(stats, tzm), want)
+
+    def test_built_once_and_shared_across_templates(self, rng, monkeypatch):
+        shape = (13, 11)
+        frame = Frame(rng.integers(0, 256, (60, 70), dtype=np.uint8))
+        win = window(-4, 3, 60, 58)
+        first, second = (Patch(rng.uniform(0, 255, shape)) for _ in range(2))
+        views = []
+        real = np.lib.stride_tricks.sliding_window_view
+        monkeypatch.setattr(np.lib.stride_tricks, "sliding_window_view",
+                            lambda *a, **k: views.append(a) or real(*a, **k))
+        stats = WindowStats(frame, win, shape)
+        assert stats.energy.size * first.pixels.size <= matcher._DIRECT_MAX_MACS
+        zmncc_fast(frame, first, win, stats)
+        shared = zmncc_fast(frame, second, win, stats)
+        assert len(views) == 1
+        m = stats.placements()
+        assert m.shape == (stats.energy.size, 13 * 11) and m.flags.c_contiguous
+        fresh = zmncc_fast(frame, second, win)
+        assert np.array_equal(shared.scores, fresh.scores, equal_nan=True)
+
+    def test_stats_in_use_reject_another_shape(self, rng):
+        frame = Frame(rng.uniform(0, 255, (30, 30)))
+        win = window(0, 0, 30, 30)
+        stats = WindowStats(frame, win, (5, 6))
+        zmncc_fast(frame, Patch(rng.uniform(0, 255, (5, 6))), win, stats)
+        with pytest.raises(ValueError):
+            zmncc_fast(frame, Patch(rng.uniform(0, 255, (6, 5))), win, stats)
+
+    def test_just_above_direct_limit_takes_fft_path(self, rng, monkeypatch):
+        template = Patch(rng.uniform(0, 255, (20, 20)))
+        frame = Frame(rng.uniform(0, 255, (100, 100)))
+        win = window(5, 5, 95, 95)  # 71 x 71 placements of a 20 x 20 template
+        macs = 71 * 71 * template.pixels.size
+        assert matcher._DIRECT_MAX_MACS < macs < 1.01 * matcher._DIRECT_MAX_MACS
+
+        def refuse(stats, tzm):
+            raise AssertionError("direct numerator used above the limit")
+
+        monkeypatch.setattr(matcher, "_direct_numerator", refuse)
+        cmap = zmncc_fast(frame, template, win)
+        assert cmap.scores.shape == (71, 71)
+        assert_matches_oracle(cmap, frame, template, all_placements(cmap))
+
+
 def nested_cumsum(a):
     """The integral image as two whole-array ``np.cumsum`` passes."""
     s = np.zeros((a.shape[0] + 1, a.shape[1] + 1))
@@ -267,19 +339,25 @@ def nested_cumsum(a):
     return s
 
 
+def assert_planes_equal_nested_cumsum(*planes):
+    s = _integral_image(*planes)
+    h, w = planes[0].shape
+    assert s.shape == (len(planes), h + 1, w + 1)
+    for plane, a in zip(s, planes):
+        assert np.array_equal(plane, nested_cumsum(a))
+
+
 class TestIntegralImage:
     @pytest.mark.parametrize("shape", [(480, 640), (240, 320)])
     def test_full_frame_equals_nested_cumsum(self, rng, shape):
         g = rng.uniform(-128.0, 128.0, shape)
-        for a in (g, g * g):
-            assert np.array_equal(_integral_image(a), nested_cumsum(a))
+        assert_planes_equal_nested_cumsum(g, g * g)
 
     @settings(max_examples=100, deadline=None)
     @given(st.integers(1, 41), st.integers(1, 41), st.integers(0, 2 ** 32 - 1))
     def test_equals_nested_cumsum(self, h, w, seed):
         g = np.random.default_rng(seed).uniform(-128.0, 128.0, (h, w))
-        for a in (g, g * g):
-            assert np.array_equal(_integral_image(a), nested_cumsum(a))
+        assert_planes_equal_nested_cumsum(g, g * g)
 
 
 @st.composite

@@ -75,6 +75,13 @@ class TestSequences:
         loaded = pgm.load_sequence(str(tmp_path), fps=10.0)
         assert [f.timestamp for f in loaded] == [0.0, 0.1, 0.2]
 
+    def test_fps_fallback_times_frames_by_index(self, tmp_path, rng):
+        frames = [f for f in self._frames(rng) if f.frame_index != 2]  # frames 0, 1, 3
+        pgm.write_sequence(str(tmp_path), frames)
+        (tmp_path / pgm.TIMESTAMP_SIDECAR).unlink()
+        loaded = pgm.load_sequence(str(tmp_path), fps=10.0)
+        assert [(f.frame_index, f.timestamp) for f in loaded] == [(0, 0.0), (1, 0.1), (3, 0.3)]
+
     def test_empty_dir_rejected(self, tmp_path):
         with pytest.raises(ValueError):
             pgm.load_sequence(str(tmp_path))
@@ -92,6 +99,12 @@ class TestSequences:
         pgm.write_sequence(str(tmp_path), frames)
         (tmp_path / pgm.TIMESTAMP_SIDECAR).write_text(f"0.0\n{bad}\n0.2\n")
         with pytest.raises(ValueError, match="finite"):
+            pgm.load_sequence(str(tmp_path))
+
+    def test_non_numeric_timestamp_names_sidecar_line(self, tmp_path, rng):
+        pgm.write_sequence(str(tmp_path), self._frames(rng, n=3))
+        (tmp_path / pgm.TIMESTAMP_SIDECAR).write_text("0.0\n\n0.1s\n0.2\n")
+        with pytest.raises(ValueError, match=r"timestamps\.txt:3: cannot parse '0\.1s'"):
             pgm.load_sequence(str(tmp_path))
 
     def test_sidecar_length_mismatch(self, tmp_path, rng):

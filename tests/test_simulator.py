@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from conftest import window
+from conftest import render_open_loop, window
 from uavtrack import simulator
 from uavtrack.config import ConfigError
 from uavtrack.errors import InvalidScenario
@@ -12,7 +12,7 @@ from uavtrack.imaging import Patch, extract_patch
 from uavtrack.matcher import zmncc_fast
 from uavtrack.simulator import (
     Scenario, SceneRenderer, benign_scenario, dropout_scenario,
-    parse_scenario, render_sequence, run_closed_loop, scenario_text,
+    parse_scenario, run_closed_loop, scenario_text,
 )
 from uavtrack.tracker import TrackStep, track_frames
 
@@ -27,20 +27,20 @@ def small_scenario(**overrides) -> Scenario:
 
 class TestRendering:
     def test_stationary_scene_renders_identical_frames(self):
-        frames, truth = render_sequence(small_scenario())
+        frames, truth = render_open_loop(small_scenario())
         assert all(np.array_equal(f.pixels, frames[0].pixels) for f in frames)
         assert all(t.visible for t in truth)
 
     def test_rendering_is_deterministic(self):
         s = small_scenario(heading=[(0.0, 0.0), (1.5, 80.0)])
-        f1, _ = render_sequence(s)
-        f2, _ = render_sequence(s)
+        f1, _ = render_open_loop(s)
+        f2, _ = render_open_loop(s)
         for a, b in zip(f1, f2):
             assert np.array_equal(a.pixels, b.pixels)
 
     def test_truth_heading_equals_warp_angle(self):
         s = small_scenario(heading=[(0.0, 0.0), (1.5, 350.0)])
-        _, truth = render_sequence(s)
+        _, truth = render_open_loop(s)
         for rec in truth:
             want = np.interp(rec.time, [0.0, 1.5], [0.0, 350.0]) % 360.0
             assert rec.heading == want
@@ -50,8 +50,8 @@ class TestRendering:
                    background_contrast=5.0)
         plain = small_scenario(**dim)
         lit = small_scenario(gain=[(0.0, 1.3)], offset=[(0.0, 20.0)], **dim)
-        f0, truth0 = render_sequence(plain)
-        f1, _ = render_sequence(lit)
+        f0, truth0 = render_open_loop(plain)
+        f1, _ = render_open_loop(lit)
         assert f1[0].pixels.max() < 255.0  # the invariance premise: no clipping
         rec = truth0[0]
         side = SceneRenderer(plain).canvas_side
@@ -67,7 +67,7 @@ class TestRendering:
 
     def test_dropout_controls_visibility_exactly(self):
         s = small_scenario(duration=2.0, dropouts=[(0.5, 1.0)])
-        frames, truth = render_sequence(s)
+        frames, truth = render_open_loop(s)
         for rec in truth:
             assert rec.visible == (not 0.5 <= rec.time < 1.0)
         hidden = [f for f, t in zip(frames, truth) if not t.visible]
@@ -76,7 +76,7 @@ class TestRendering:
 
     def test_quantize_produces_integral_pixels(self):
         s = small_scenario(quantize=True, gain=[(0.0, 1.17)])
-        frames, _ = render_sequence(s)
+        frames, _ = render_open_loop(s)
         assert np.array_equal(frames[0].pixels, np.rint(frames[0].pixels))
 
     def test_viewport_shift_moves_truth(self):
