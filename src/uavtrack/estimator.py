@@ -6,13 +6,18 @@ the search window spans three position standard deviations around the
 predicted position, padded by half the template canvas so the template fits
 anywhere the target center may lie. Missed frames propagate the state
 without correction, which grows the covariance and therefore the window.
+
+The model never couples x and y, so from a covariance with no cross-axis
+term the filter runs exactly as two independent (position, velocity) filters
+in scalar closed form (Bar-Shalom, Li & Kirubarajan 2001); ``TrackState.x``
+and ``TrackState.P`` give the 4-state view.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
-from typing import TYPE_CHECKING
+from dataclasses import dataclass
+from typing import TYPE_CHECKING, NamedTuple
 
 import numpy as np
 
@@ -24,34 +29,51 @@ if TYPE_CHECKING:
 DEFAULT_SIGMA = 0.4
 DEFAULT_P0_DIAG = (4.0, 4.0, 25.0, 25.0)
 
-_H = np.array([[1.0, 0.0, 0.0, 0.0],
-               [0.0, 1.0, 0.0, 0.0]])
-_R = np.eye(2)
+
+class AxisState(NamedTuple):
+    """One image axis of the filter: position, velocity and their covariance
+    entries var(pos), cov(pos, vel) and var(vel)."""
+
+    pos: float
+    vel: float
+    pp: float
+    pv: float
+    vv: float
 
 
 @dataclass(frozen=True)
 class TrackState:
-    """Filter state: mean vector, covariance, and bookkeeping."""
+    """Filter state: one ``AxisState`` per image axis, and bookkeeping."""
 
-    x: np.ndarray
-    P: np.ndarray
+    x_axis: AxisState
+    y_axis: AxisState
     sigma: float = DEFAULT_SIGMA
     last_time: float = 0.0
-    initialized: bool = False
 
     @property
     def position(self) -> tuple[float, float]:
-        return (float(self.x[0]), float(self.x[1]))
+        return (self.x_axis.pos, self.y_axis.pos)
 
     @property
-    def velocity(self) -> tuple[float, float]:
-        return (float(self.x[2]), float(self.x[3]))
+    def x(self) -> np.ndarray:
+        """Mean vector [px, py, vx, vy]."""
+        return np.array([self.x_axis.pos, self.y_axis.pos,
+                         self.x_axis.vel, self.y_axis.vel])
+
+    @property
+    def P(self) -> np.ndarray:
+        """4x4 covariance in the order of ``x``; cross-axis terms are zero."""
+        P = np.zeros((4, 4))
+        for i, a in enumerate((self.x_axis, self.y_axis)):
+            P[i, i], P[i + 2, i + 2] = a.pp, a.vv
+            P[i, i + 2] = P[i + 2, i] = a.pv
+        return P
 
 
 @dataclass(frozen=True)
 class NoiseModel:
     """Per-step matrices: process Jacobian A and process noise Q. The
-    measurement Jacobian and noise are fixed (module ``_H`` and ``_R``)."""
+    measurement is the position with unit noise on each axis."""
 
     A: np.ndarray
     Q: np.ndarray
@@ -93,8 +115,15 @@ def full_frame_window(frame_width: int, frame_height: int) -> SearchWindow:
         clamped=False, x0=0, y0=0, x1=frame_width, y1=frame_height)
 
 
+def _noise_terms(dt: float, sigma: float) -> tuple[float, float, float]:
+    """One axis's process noise: var(pos), cov(pos, vel), var(vel)."""
+    return (dt * sigma + (1.0 / 3.0) * dt ** 3 * sigma,
+            0.5 * dt ** 2 * sigma,
+            dt * sigma)
+
+
 def build_noise(dt: float, sigma: float) -> NoiseModel:
-    """Process/measurement matrices for a step of ``dt`` seconds.
+    """Process matrices for a step of ``dt`` seconds.
 
     Q uses a single noise scalar on every channel:
         a = dt*sigma + (1/3)*dt^3*sigma   (position diagonal)
@@ -106,9 +135,7 @@ def build_noise(dt: float, sigma: float) -> NoiseModel:
     A = np.eye(4)
     A[0, 2] = dt
     A[1, 3] = dt
-    a = dt * sigma + (1.0 / 3.0) * dt ** 3 * sigma
-    b = 0.5 * dt ** 2 * sigma
-    v = dt * sigma
+    a, b, v = _noise_terms(dt, sigma)
     Q = np.array([[a, 0.0, b, 0.0],
                   [0.0, a, 0.0, b],
                   [b, 0.0, v, 0.0],
@@ -118,54 +145,71 @@ def build_noise(dt: float, sigma: float) -> NoiseModel:
 
 def init(detection: "Detection", t0: float, sigma: float = DEFAULT_SIGMA,
          P0: np.ndarray | None = None) -> TrackState:
-    """Start a track at a detection with zero velocity."""
-    if P0 is None:
-        P0 = np.diag(DEFAULT_P0_DIAG)
-    x = np.array([float(detection.position[0]), float(detection.position[1]),
-                  0.0, 0.0])
-    return TrackState(x=x, P=np.array(P0, dtype=np.float64), sigma=sigma,
-                      last_time=float(t0), initialized=True)
+    """Start a track at a detection with zero velocity.
+
+    ``P0`` is the 4x4 initial covariance in the order of ``TrackState.x``;
+    it must be symmetric with no term coupling the x and y axes.
+    """
+    P0 = np.diag(DEFAULT_P0_DIAG) if P0 is None else np.asarray(P0, dtype=np.float64)
+    if P0.shape != (4, 4) or not np.array_equal(P0, P0.T) \
+            or P0[np.ix_((0, 2), (1, 3))].any():
+        raise ValueError("P0 must be a symmetric 4x4 covariance with no "
+                         "term coupling the x and y axes")
+    x, y = (float(c) for c in detection.position)
+    return TrackState(
+        x_axis=AxisState(x, 0.0, float(P0[0, 0]), float(P0[0, 2]), float(P0[2, 2])),
+        y_axis=AxisState(y, 0.0, float(P0[1, 1]), float(P0[1, 3]), float(P0[3, 3])),
+        sigma=sigma, last_time=float(t0))
+
+
+def _predict_axis(s: AxisState, dt: float, qa: float, qb: float,
+                  qv: float) -> AxisState:
+    """A s and A P A^T + Q for one axis, A = [[1, dt], [0, 1]]."""
+    return AxisState(s.pos + dt * s.vel, s.vel,
+                     s.pp + dt * (2.0 * s.pv + dt * s.vv) + qa,
+                     s.pv + dt * s.vv + qb,
+                     s.vv + qv)
 
 
 def predict(state: TrackState, t: float) -> TrackState:
     """Propagate to time ``t`` under the constant-velocity model."""
-    if not state.initialized:
-        raise InvalidTimestep("predict on an uninitialized track")
     if not math.isfinite(t):
         raise InvalidTimestep(f"timestamp must be finite, got {t}")
     dt = t - state.last_time
     if dt <= 0.0:
         raise InvalidTimestep(
             f"timestamps must strictly increase: {state.last_time} -> {t}")
-    nm = build_noise(dt, state.sigma)
-    x = nm.A @ state.x
-    P = nm.A @ state.P @ nm.A.T + nm.Q
-    return replace(state, x=x, P=P, last_time=float(t))
+    q = _noise_terms(dt, state.sigma)
+    return TrackState(x_axis=_predict_axis(state.x_axis, dt, *q),
+                      y_axis=_predict_axis(state.y_axis, dt, *q),
+                      sigma=state.sigma, last_time=float(t))
+
+
+def _correct_axis(s: AxisState, z: float) -> AxisState:
+    """Kalman update of one axis with a unit-noise position measurement:
+    gain K = (pp, pv) / (pp + 1) and posterior (I - K H) P."""
+    S = s.pp + 1.0
+    r = (z - s.pos) / S
+    return AxisState(s.pos + s.pp * r, s.vel + s.pv * r,
+                     s.pp / S, s.pv / S, s.vv - s.pv * s.pv / S)
 
 
 def correct(predicted: TrackState, z: tuple[float, float]) -> TrackState:
     """Standard Kalman update with the position measurement ``z``."""
-    P = predicted.P
-    S = _H @ P @ _H.T + _R
-    K = np.linalg.solve(S.T, (P @ _H.T).T).T
-    innovation = np.asarray(z, dtype=np.float64) - _H @ predicted.x
-    x = predicted.x + K @ innovation
-    P_new = (np.eye(4) - K @ _H) @ P
-    P_new = 0.5 * (P_new + P_new.T)
-    return replace(predicted, x=x, P=P_new)
+    return TrackState(x_axis=_correct_axis(predicted.x_axis, z[0]),
+                      y_axis=_correct_axis(predicted.y_axis, z[1]),
+                      sigma=predicted.sigma, last_time=predicted.last_time)
 
 
 def search_window(state: TrackState, template_canvas: tuple[int, int],
                   frame_size: tuple[int, int]) -> SearchWindow:
     """3-sigma window around the predicted position, padded by half the
     template canvas and clamped inside the frame."""
-    if not state.initialized:
-        raise InvalidTimestep("search window requested before initialization")
     cw, ch = template_canvas
     W, H = frame_size
     cx, cy = state.position
-    hw = 3.0 * math.sqrt(max(float(state.P[0, 0]), 0.0)) + cw / 2.0
-    hh = 3.0 * math.sqrt(max(float(state.P[1, 1]), 0.0)) + ch / 2.0
+    hw = 3.0 * math.sqrt(max(state.x_axis.pp, 0.0)) + cw / 2.0
+    hh = 3.0 * math.sqrt(max(state.y_axis.pp, 0.0)) + ch / 2.0
 
     x0 = int(math.floor(cx - hw))
     x1 = int(math.ceil(cx + hw)) + 1

@@ -41,6 +41,12 @@ if TYPE_CHECKING:
 
 TEMPLATE_BUDGET = 7
 
+# Offsets from the last matched template in the order they are tried: the
+# paper's k-2 .. k+4 set, nearest heading first. Heading changes slowly, so
+# the first template usually hits and the scan stops there (early
+# termination as in Barnea & Silverman 1972, SSDA).
+_BEST_FIRST = (0, -1, 1, -2, 2, 3, 4)
+
 # Windows whose zero-mean energy falls below this are treated as constant
 # (score undefined). Intensities are 8-bit scale, so any real contrast
 # yields an energy >= ~1 while float residue on a flat window stays < 1e-4.
@@ -98,9 +104,12 @@ class Detection:
 class SchedulerState:
     """Rotation-bank scheduling state; single-owner, mutated by ``detect``.
 
-    After a match at index k the next frame scans [k-2 .. k+4] (mod bank
-    size). After a miss the next frame starts one template after the start
-    of the missed frame. A fresh tracker starts at template 0.
+    After a match at index k the next frame scans the paper's set
+    [k-2 .. k+4] (mod bank size) best-first: k, k-1, k+1, k-2, k+2, k+3,
+    k+4, so the template that matched last is tried first. After a miss
+    the next frame sweeps from one template after the start of the missed
+    frame's set, whose start is k-2 for a frame that followed a match. A
+    fresh tracker starts at template 0.
     """
 
     last_matched_index: Optional[int] = None
@@ -116,8 +125,12 @@ class SchedulerState:
 
 def schedule_order(sched: SchedulerState, bank_size: int = 36) -> list[int]:
     """Template indices to try this frame, in order, at most ``TEMPLATE_BUDGET``."""
+    n = min(TEMPLATE_BUDGET, bank_size)
+    if sched.last_matched_index is not None and not sched.last_frame_missed:
+        k = sched.last_matched_index
+        return [(k + d) % bank_size for d in _BEST_FIRST[:n]]
     start = sched.start_index(bank_size)
-    return [(start + i) % bank_size for i in range(min(TEMPLATE_BUDGET, bank_size))]
+    return [(start + i) % bank_size for i in range(n)]
 
 
 def zmncc_oracle(frame_region: np.ndarray, template: Patch,
@@ -193,7 +206,10 @@ class WindowStats:
         ``(placements, template area)`` matrix, in row-major placement order."""
         if self._placements is None:
             th, tw = self.shape
-            view = np.lib.stride_tricks.sliding_window_view(self.g, (th, tw))
+            wh, ww = self.energy.shape
+            g = self.g  # C-contiguous, so its buffer backs a strided view
+            view = np.ndarray((wh, ww, th, tw), g.dtype, g, 0, g.strides * 2)
+            view.flags.writeable = False
             self._placements = view.reshape(-1, th * tw)  # copies the strided view
         return self._placements
 
@@ -323,7 +339,6 @@ def detect(frame: Frame, bank: TemplateBank, sched: SchedulerState,
         raise ValueError(f"threshold must be in (0, 1], got {threshold}")
     bank_size = bank.size
     order = schedule_order(sched, bank_size)
-    start = order[0]
     tw, th = bank.canvas
     diag = math.hypot(tw, th)
 
@@ -348,7 +363,7 @@ def detect(frame: Frame, bank: TemplateBank, sched: SchedulerState,
         return Detection(position=(px, py), score=best,
                          template_index=index, frame_index=frame.frame_index)
 
-    sched.fallback_start_index = (start + 1) % bank_size
+    sched.fallback_start_index = (sched.start_index(bank_size) + 1) % bank_size
     sched.last_frame_missed = True
     sched.last_frame_evals = evals
     return None

@@ -13,6 +13,7 @@ Scenario positions are given in frame coordinates of the unshifted
 from __future__ import annotations
 
 import math
+import re
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -428,10 +429,12 @@ def _parse_dropouts(raw: str) -> list[tuple[float, float]]:
         item = item.strip()
         if not item:
             continue
-        if "-" not in item:
+        # The separator is the first '-' that is neither a sign nor part of
+        # an exponent, so spans such as 2.5e-05-1.0 read back as written.
+        span = re.fullmatch(r"(.*?[^eE-])-(.+)", item)
+        if span is None:
             raise ValueError(f"dropout '{item}' needs the form start-end")
-        a_str, b_str = item.split("-", 1)
-        a, b = float(a_str), float(b_str)
+        a, b = float(span[1]), float(span[2])
         if b <= a:
             raise ValueError(f"dropout '{item}' must have end > start")
         spans.append((a, b))

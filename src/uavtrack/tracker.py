@@ -69,7 +69,7 @@ class Tracker:
                 f"tracker size {self.frame_size[0]}x{self.frame_size[1]}")
         t = frame.timestamp
 
-        if self.state is None or not self.state.initialized:
+        if self.state is None:
             window = estimator.full_frame_window(*self.frame_size)
             det = matcher.detect(frame, self.bank, self.sched, window,
                                  self.cfg.zmncc_threshold)

@@ -1,4 +1,7 @@
+import dataclasses
+
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from uavtrack.config import CONFIG_ENV_VAR, ConfigError, TrackerConfig, resolve_config
 
@@ -15,6 +18,21 @@ def test_round_trip_identity():
     once = TrackerConfig.from_text(cfg.to_text())
     assert once == cfg
     assert TrackerConfig.from_text(once.to_text()) == once
+
+
+def configs():
+    """Any valid configuration: every field drawn within its accepted range."""
+    positive = st.floats(min_value=0.0, exclude_min=True, allow_infinity=False)
+    fields = {f.name: positive for f in dataclasses.fields(TrackerConfig)}
+    fields["zmncc_threshold"] = st.floats(0.0, 1.0, exclude_min=True)
+    fields["miss_run_limit"] = st.integers(1, 10 ** 6)
+    return st.builds(TrackerConfig, **fields)
+
+
+@settings(max_examples=200)
+@given(configs())
+def test_round_trip_property(cfg):
+    assert TrackerConfig.from_text(cfg.to_text()) == cfg
 
 
 def test_partial_file_keeps_defaults():

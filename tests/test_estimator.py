@@ -1,9 +1,10 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from uavtrack.errors import InvalidTimestep
 from uavtrack.estimator import (
-    DEFAULT_P0_DIAG, TrackState, build_noise, correct, init, predict,
+    DEFAULT_P0_DIAG, AxisState, TrackState, build_noise, correct, init, predict,
     search_window,
 )
 from uavtrack.matcher import Detection
@@ -11,6 +12,14 @@ from uavtrack.matcher import Detection
 
 def det(x, y):
     return Detection(position=(x, y), score=0.95, template_index=0, frame_index=0)
+
+
+def diag_state(x, p_diag, last_time=0.0):
+    """A state with mean ``x`` = [px, py, vx, vy] and a diagonal covariance."""
+    px, py, vx, vy = (float(c) for c in x)
+    ppx, ppy, vvx, vvy = (float(c) for c in p_diag)
+    return TrackState(x_axis=AxisState(px, vx, ppx, 0.0, vvx),
+                      y_axis=AxisState(py, vy, ppy, 0.0, vvy), last_time=last_time)
 
 
 def reference_q(dt, s):
@@ -62,7 +71,7 @@ class TestInit:
     def test_state_from_detection(self):
         st = init(det(100, 50), t0=2.0)
         assert np.array_equal(st.x, [100.0, 50.0, 0.0, 0.0])
-        assert st.initialized and st.last_time == 2.0
+        assert st.last_time == 2.0
 
     def test_p0_verbatim(self):
         p0 = np.diag([4.0, 4.0, 25.0, 25.0])
@@ -74,6 +83,26 @@ class TestInit:
         a, b = init(det(7, 9), 1.0), init(det(7, 9), 1.0)
         assert np.array_equal(a.x, b.x) and np.array_equal(a.P, b.P)
 
+    def test_p0_with_in_axis_coupling_kept(self):
+        p0 = np.diag([4.0, 9.0, 25.0, 16.0])
+        p0[0, 2] = p0[2, 0] = 1.5
+        p0[1, 3] = p0[3, 1] = -2.0
+        assert np.array_equal(init(det(1, 2), 0.0, P0=p0).P, p0)
+
+    @pytest.mark.parametrize("i, j", [(0, 1), (0, 3), (1, 2), (2, 3)])
+    def test_cross_axis_p0_rejected(self, i, j):
+        p0 = np.diag([4.0, 4.0, 25.0, 25.0])
+        p0[i, j] = p0[j, i] = 0.5
+        with pytest.raises(ValueError, match="coupling"):
+            init(det(1, 2), 0.0, P0=p0)
+
+    def test_malformed_p0_rejected(self):
+        asymmetric = np.diag([4.0, 4.0, 25.0, 25.0])
+        asymmetric[0, 2] = 1.0
+        for p0 in (np.eye(3), asymmetric):
+            with pytest.raises(ValueError):
+                init(det(1, 2), 0.0, P0=p0)
+
 
 class TestPredictCorrect:
     def test_zero_velocity_holds_position(self):
@@ -81,8 +110,7 @@ class TestPredictCorrect:
         assert predict(st, 3.7).position == (10.0, 10.0)
 
     def test_linear_propagation(self):
-        st = TrackState(x=np.array([10.0, 10.0, 2.0, -1.0]), P=np.eye(4),
-                        last_time=0.0, initialized=True)
+        st = diag_state([10.0, 10.0, 2.0, -1.0], [1.0] * 4)
         assert predict(st, 0.5).position == (11.0, 9.5)
 
     def test_covariance_grows_on_predict(self):
@@ -106,16 +134,14 @@ class TestPredictCorrect:
         assert upd.P[0, 0] < pred.P[0, 0] and upd.P[1, 1] < pred.P[1, 1]
 
     def test_vanishing_variance_ignores_measurement(self):
-        pred = TrackState(x=np.array([5.0, 5.0, 0.0, 0.0]), P=np.eye(4) * 1e-12,
-                          last_time=1.0, initialized=True)
+        pred = diag_state([5.0, 5.0, 0.0, 0.0], [1e-12] * 4, last_time=1.0)
         upd = correct(pred, (50.0, 50.0))
         assert abs(upd.x[0] - 5.0) < 1e-6
 
     def test_scalar_gain_closed_form(self):
         # decoupled x-axis: K = p / (p + 1), posterior p' = p / (p + 1)
         for p in (0.3, 1.0, 4.0, 25.0):
-            pred = TrackState(x=np.zeros(4), P=np.diag([p, p, 0.0, 0.0]),
-                              last_time=0.0, initialized=True)
+            pred = diag_state([0.0] * 4, [p, p, 0.0, 0.0])
             upd = correct(pred, (1.0, 0.0))
             assert upd.x[0] == pytest.approx(p / (p + 1.0), abs=1e-12)
             assert upd.P[0, 0] == pytest.approx(p / (p + 1.0), abs=1e-12)
@@ -133,9 +159,7 @@ class TestPredictCorrect:
 
 class TestMissAndWindow:
     def test_window_arithmetic(self):
-        st = TrackState(x=np.array([100.0, 80.0, 0.0, 0.0]),
-                        P=np.diag([4.0, 9.0, 0.0, 0.0]),
-                        last_time=0.0, initialized=True)
+        st = diag_state([100.0, 80.0, 0.0, 0.0], [4.0, 9.0, 0.0, 0.0])
         win = search_window(st, (20, 20), (600, 400))
         assert win.half_width == pytest.approx(3.0 * 2.0 + 10.0)
         assert win.half_height == pytest.approx(3.0 * 3.0 + 10.0)
@@ -162,16 +186,14 @@ class TestMissAndWindow:
         assert after.half_width < before.half_width
 
     def test_clamped_at_corner(self):
-        st = TrackState(x=np.array([3.0, 2.0, 0.0, 0.0]), P=np.diag([100.0] * 4),
-                        last_time=0.0, initialized=True)
+        st = diag_state([3.0, 2.0, 0.0, 0.0], [100.0] * 4)
         win = search_window(st, (20, 20), (320, 240))
         assert win.clamped
         assert win.x0 >= 0 and win.y0 >= 0 and win.x1 <= 320 and win.y1 <= 240
         assert win.width >= 20 and win.height >= 20
 
     def test_window_never_smaller_than_canvas(self):
-        st = TrackState(x=np.array([2.0, 2.0, 0.0, 0.0]), P=np.zeros((4, 4)),
-                        last_time=0.0, initialized=True)
+        st = diag_state([2.0, 2.0, 0.0, 0.0], [0.0] * 4)
         win = search_window(st, (43, 43), (320, 240))
         assert win.width >= 43 and win.height >= 43
 
@@ -216,3 +238,77 @@ class TestLongRunProperties:
 
         for (x1, p1), (x2, p2) in zip(run(), run()):
             assert np.array_equal(x1, x2) and np.array_equal(p1, p2)
+
+
+_H = np.array([[1.0, 0.0, 0.0, 0.0],
+               [0.0, 1.0, 0.0, 0.0]])
+
+
+def oracle_predict(x, P, dt, sigma):
+    """The 4-state propagation: A x and A P A^T + Q."""
+    nm = build_noise(dt, sigma)
+    return nm.A @ x, nm.A @ P @ nm.A.T + nm.Q
+
+
+def oracle_correct(x, P, z):
+    """The 4-state update: K = P H^T S^-1 and symmetrized (I - K H) P."""
+    S = _H @ P @ _H.T + np.eye(2)
+    K = np.linalg.solve(S.T, (P @ _H.T).T).T
+    x = x + K @ (np.asarray(z, dtype=np.float64) - _H @ x)
+    P = (np.eye(4) - K @ _H) @ P
+    return x, 0.5 * (P + P.T)
+
+
+def assert_close(got, want):
+    """Agreement to 1e-9 relative to the largest entry of ``want``."""
+    np.testing.assert_allclose(got, want, rtol=1e-9,
+                               atol=1e-9 * float(np.abs(want).max()))
+
+
+positive = st.floats(1e-3, 100.0)
+
+
+@st.composite
+def filter_runs(draw):
+    """A diagonal P0, a noise level and a sequence of (dt, measurement or
+    None for a miss) steps."""
+    p0 = np.diag([draw(positive) for _ in range(4)])
+    sigma = draw(st.floats(1e-3, 2.0))
+    steps = draw(st.lists(st.tuples(
+        st.floats(0.01, 0.2),
+        st.none() | st.tuples(st.floats(-5.0, 5.0), st.floats(-5.0, 5.0))),
+        min_size=1, max_size=80))
+    return p0, sigma, steps
+
+
+class TestTwoAxisFilterProperties:
+    @settings(max_examples=200, deadline=None)
+    @given(filter_runs())
+    def test_matches_four_state_oracle(self, run):
+        p0, sigma, steps = run
+        state = init(det(120, 80), 0.0, sigma=sigma, P0=p0)
+        x, P = state.x, state.P
+        t = 0.0
+        for dt, noise in steps:
+            prev, t = t, t + dt
+            state = predict(state, t)
+            x, P = oracle_predict(x, P, t - prev, sigma)
+            if noise is not None:
+                z = (x[0] + noise[0], x[1] + noise[1])
+                state = correct(state, z)
+                x, P = oracle_correct(x, P, z)
+            assert_close(state.x, x)
+            assert_close(state.P, P)
+            assert np.array_equal(state.P, state.P.T)
+            assert np.linalg.eigvalsh(state.P).min() >= -1e-9 * float(np.abs(P).max())
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.lists(positive, min_size=4, max_size=4),
+           st.sampled_from([(0, 1), (0, 3), (1, 2), (2, 3)]),
+           st.floats(-10.0, 10.0).filter(lambda c: c != 0.0))
+    def test_cross_axis_p0_rejected(self, diag, ij, coupling):
+        p0 = np.diag(diag)
+        i, j = ij
+        p0[i, j] = p0[j, i] = coupling
+        with pytest.raises(ValueError):
+            init(det(0, 0), 0.0, P0=p0)

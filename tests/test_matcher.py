@@ -289,22 +289,19 @@ class TestPlacementMatrix:
         want = np.tensordot(view, tzm, axes=([2, 3], [0, 1]))
         assert np.array_equal(_direct_numerator(stats, tzm), want)
 
-    def test_built_once_and_shared_across_templates(self, rng, monkeypatch):
+    def test_built_once_and_shared_across_templates(self, rng):
         shape = (13, 11)
         frame = Frame(rng.integers(0, 256, (60, 70), dtype=np.uint8))
         win = window(-4, 3, 60, 58)
         first, second = (Patch(rng.uniform(0, 255, shape)) for _ in range(2))
-        views = []
-        real = np.lib.stride_tricks.sliding_window_view
-        monkeypatch.setattr(np.lib.stride_tricks, "sliding_window_view",
-                            lambda *a, **k: views.append(a) or real(*a, **k))
         stats = WindowStats(frame, win, shape)
         assert stats.energy.size * first.pixels.size <= matcher._DIRECT_MAX_MACS
         zmncc_fast(frame, first, win, stats)
-        shared = zmncc_fast(frame, second, win, stats)
-        assert len(views) == 1
         m = stats.placements()
+        shared = zmncc_fast(frame, second, win, stats)
+        assert stats.placements() is m  # one copy per WindowStats
         assert m.shape == (stats.energy.size, 13 * 11) and m.flags.c_contiguous
+        assert not np.shares_memory(m, stats.g)
         fresh = zmncc_fast(frame, second, win)
         assert np.array_equal(shared.scores, fresh.scores, equal_nan=True)
 
@@ -420,11 +417,44 @@ class TestScheduler:
 
     def test_order_after_match_at_4(self):
         s = SchedulerState(last_matched_index=4)
-        assert schedule_order(s) == [2, 3, 4, 5, 6, 7, 8]
+        assert schedule_order(s) == [4, 3, 5, 2, 6, 7, 8]
 
     def test_order_wraps_at_zero(self):
-        s = SchedulerState(last_matched_index=0)
-        assert schedule_order(s) == [34, 35, 0, 1, 2, 3, 4]
+        assert schedule_order(SchedulerState(last_matched_index=0)) == \
+            [0, 35, 1, 34, 2, 3, 4]
+        assert schedule_order(SchedulerState(last_matched_index=35)) == \
+            [35, 34, 0, 33, 1, 2, 3]
+
+    @pytest.mark.parametrize("bank_size", [1, 2, 3, 4, 5, 6, 7, 36])
+    def test_best_first_set_is_the_papers_set(self, bank_size):
+        budget = min(7, bank_size)
+        for k in range(bank_size):
+            order = schedule_order(SchedulerState(last_matched_index=k), bank_size)
+            papers = {(k + d) % bank_size for d in range(-2, budget - 2)}
+            assert order[0] == k and len(order) == budget
+            assert set(order) == papers
+
+    def test_full_miss_after_match_restarts_at_k_minus_1(self, rng):
+        bank = build_template_bank(Patch(rng.uniform(0, 255, (8, 8))))
+        blank = Frame(np.zeros((60, 60)))
+        for k in (0, 1, 17, 35):
+            sched = SchedulerState(last_matched_index=k)
+            assert detect(blank, bank, sched, window(0, 0, 60, 60), 0.9) is None
+            assert sched.fallback_start_index == (k - 1) % 36
+            assert schedule_order(sched) == [(k - 1 + i) % 36 for i in range(7)]
+
+    @pytest.mark.parametrize("index, maps", [(0, 1), (5, 6), (9, 28)])
+    def test_fresh_lock_on_class_after_sweep_maps(self, rng, index, maps):
+        # Independent random templates: only the planted one can score 0.9.
+        bank = TemplateBank(templates=tuple(
+            Patch(rng.uniform(0, 255, (8, 8))) for _ in range(36)))
+        pixels = rng.uniform(0, 255, (40, 40))
+        pixels[10:18, 20:28] = bank.templates[index].pixels
+        frame, sched, total = Frame(pixels), SchedulerState(), 0
+        while (det := detect(frame, bank, sched, window(0, 0, 40, 40), 0.9)) is None:
+            total += sched.last_frame_evals
+        assert det.template_index == index
+        assert total + sched.last_frame_evals == maps
 
     def test_miss_advances_start_by_one(self, rng):
         bank = build_template_bank(Patch(rng.uniform(0, 255, (8, 8))))

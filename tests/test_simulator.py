@@ -2,13 +2,14 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from conftest import render_open_loop, window
 from uavtrack import simulator
 from uavtrack.config import ConfigError
 from uavtrack.errors import InvalidScenario
 from uavtrack.gimbal import GimbalState
-from uavtrack.imaging import Patch, extract_patch
+from uavtrack.imaging import Patch, extract_patch, rotation_canvas_side
 from uavtrack.matcher import zmncc_fast
 from uavtrack.simulator import (
     Scenario, SceneRenderer, benign_scenario, dropout_scenario,
@@ -103,10 +104,54 @@ class TestValidation:
             run_closed_loop(s)
 
 
+finite = st.floats(-1e3, 1e3)
+
+
+def schedule(draw, values, max_size=4):
+    """Breakpoints at strictly increasing times, each ``(t, *values())``."""
+    times = sorted(draw(st.sets(st.floats(-1.0, 10.0), min_size=1, max_size=max_size)))
+    return [(t, *values()) for t in times]
+
+
+@st.composite
+def scenarios(draw):
+    """A valid scenario with every field drawn, the target inside the frame
+    on every frame."""
+    width, height = draw(st.integers(24, 200)), draw(st.integers(24, 200))
+    sw, sh = draw(st.integers(4, 12)), draw(st.integers(4, 12))
+    assume(sw * sh >= 16)
+    half = rotation_canvas_side(sw, sh) / 2.0 + 1.0
+    fps, duration = draw(st.floats(1.0, 30.0)), draw(st.floats(0.05, 2.0))
+    assume(round(fps * duration) >= 1)
+    spans = sorted(draw(st.sets(st.floats(0.0, 10.0), max_size=6)))
+    return Scenario(
+        width=width, height=height, fps=fps, duration=duration,
+        seed=draw(st.integers(0, 2 ** 32 - 1)),
+        position=schedule(draw, lambda: (draw(st.floats(half, width - half)),
+                                         draw(st.floats(half, height - half)))),
+        heading=schedule(draw, lambda: (draw(finite),)),
+        gain=schedule(draw, lambda: (draw(st.floats(0.1, 4.0)),)),
+        offset=schedule(draw, lambda: (draw(finite),)),
+        dropouts=list(zip(spans[::2], spans[1::2])),
+        sprite_width=sw, sprite_height=sh,
+        sprite_contrast=draw(st.floats(0.0, 255.0)),
+        background_base=draw(st.floats(0.0, 255.0)),
+        background_contrast=draw(st.floats(0.0, 255.0)),
+        background_cell=draw(st.integers(1, 16)),
+        distractors=draw(st.integers(0, 5)),
+        world_margin=draw(st.integers(0, 256)),
+        quantize=draw(st.booleans())).validate()
+
+
 class TestScenarioFiles:
     def test_text_round_trip(self):
         s = benign_scenario()
         s.dropouts = [(1.0, 2.5)]
+        assert parse_scenario(scenario_text(s)) == s
+
+    @settings(max_examples=200, deadline=None)
+    @given(scenarios())
+    def test_text_round_trip_property(self, s):
         assert parse_scenario(scenario_text(s)) == s
 
     def test_parse_reports_line_numbers(self):
@@ -123,6 +168,11 @@ class TestScenarioFiles:
     def test_parse_rejects_missing_required(self):
         with pytest.raises(ConfigError, match="missing required key"):
             parse_scenario("width=120\n")
+
+    def test_parse_dropout_with_exponents(self):
+        text = ("width=120\nheight=100\nfps=20\nduration=1\nseed=1\n"
+                "position=0:60,50\ndropout=2.5e-05-0.5,0.5-1e+01\n")
+        assert parse_scenario(text).dropouts == [(2.5e-05, 0.5), (0.5, 10.0)]
 
     def test_parse_rejects_bad_dropout(self):
         text = ("width=120\nheight=100\nfps=20\nduration=1\nseed=1\n"
