@@ -35,6 +35,10 @@ class TrackerConfig:
     miss_run_limit: int = 30
 
     def validate(self) -> "TrackerConfig":
+        for f in dataclasses.fields(self):
+            v = getattr(self, f.name)
+            if isinstance(v, float) and not math.isfinite(v):
+                raise ConfigError(f"{f.name} must be a finite number, got {v}")
         if not 0.0 < self.zmncc_threshold <= 1.0:
             raise ConfigError(f"zmncc_threshold must be in (0, 1], got {self.zmncc_threshold}")
         for key in ("sigma", "hfov_deg", "vfov_deg", "pan_limit_deg", "tilt_limit_deg",

@@ -157,49 +157,86 @@ def rotation_canvas_side(width: int, height: int) -> int:
     return int(math.ceil(math.hypot(width, height)))
 
 
-def warp_raster(pixels: np.ndarray, alpha_deg: float, fill: float) -> np.ndarray:
-    """Rotate a raster clockwise by ``alpha_deg`` onto its rotation canvas.
+@dataclass(frozen=True)
+class WarpGeometry:
+    """Where each canvas pixel of a rotation warp samples its source.
+
+    ``corners`` holds the flat source indices of the four bilinear taps
+    (top-left, top-right, bottom-left, bottom-right), ``fx, fy`` the
+    sample's fractional offsets from the top-left tap, and ``inside`` marks
+    the canvas pixels whose sample falls on the source. An inverse-mapped
+    warp computes this sample map once and can apply it to any raster of
+    the source's shape.
+    """
+
+    corners: tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]
+    fx: np.ndarray
+    fy: np.ndarray
+    inside: np.ndarray
+
+    def apply(self, pixels: np.ndarray, fill: float) -> np.ndarray:
+        """Warp a raster of the geometry's source shape; outside takes ``fill``."""
+        flat = np.asarray(pixels, dtype=np.float64).ravel()
+        i00, i01, i10, i11 = self.corners
+        gx = 1.0 - self.fx
+        top = gx * flat.take(i00) + self.fx * flat.take(i01)
+        bot = gx * flat.take(i10) + self.fx * flat.take(i11)
+        out = (1.0 - self.fy) * top + self.fy * bot
+        out[~self.inside] = fill
+        return out
+
+
+def warp_geometry(height: int, width: int, alpha_deg: float) -> WarpGeometry:
+    """Sample geometry of a clockwise ``alpha_deg`` rotation of a
+    ``height`` x ``width`` raster onto its rotation canvas.
 
     The source is embedded on the square canvas at integer margins and the
     rotation pivots on the embedded source center, so the zero-angle warp
     reproduces the source exactly. Sampling is bilinear via the inverse
-    map; destination pixels whose source sample falls outside the raster
-    take ``fill``. Source coordinates closer than 1e-9 to the integer grid
-    are snapped so quarter-turn warps are exact index permutations.
+    map. Source coordinates closer than 1e-9 to the integer grid are
+    snapped so quarter-turn warps are exact index permutations.
     """
-    src = np.asarray(pixels, dtype=np.float64)
-    h, w = src.shape
+    h, w = height, width
     side = rotation_canvas_side(w, h)
     mx, my = (side - w) // 2, (side - h) // 2
     # Pivot: source patch center, expressed in both coordinate frames.
     csx, csy = (w - 1) / 2.0, (h - 1) / 2.0
-    cdx, cdy = mx + csx, my + csy
+    # Each canvas column's and row's offset from the pivot; they broadcast
+    # to the canvas, as the full coordinate grids would.
+    dx = np.arange(side) - (mx + csx)
+    dy = (np.arange(side) - (my + csy))[:, None]
 
     a = math.radians(alpha_deg % 360.0)
     ca, sa = math.cos(a), math.sin(a)
-    ys, xs = np.mgrid[0:side, 0:side]
-    dx = xs - cdx
-    dy = ys - cdy
     sx = ca * dx + sa * dy + csx
     sy = -sa * dx + ca * dy + csy
 
     for arr in (sx, sy):
         snapped = np.rint(arr)
-        near = np.abs(arr - snapped) < 1e-9
-        arr[near] = snapped[near]
+        np.copyto(arr, snapped, where=np.abs(arr - snapped) < 1e-9)
 
     inside = (sx >= 0.0) & (sx <= w - 1) & (sy >= 0.0) & (sy <= h - 1)
-    x0 = np.clip(np.floor(sx), 0, w - 2).astype(np.intp) if w > 1 else np.zeros_like(sx, dtype=np.intp)
-    y0 = np.clip(np.floor(sy), 0, h - 2).astype(np.intp) if h > 1 else np.zeros_like(sy, dtype=np.intp)
+    x0 = np.clip(np.floor(sx), 0, max(w - 2, 0)).astype(np.intp)
+    y0 = np.clip(np.floor(sy), 0, max(h - 2, 0)).astype(np.intp)
     fx = sx - x0
     fy = sy - y0
-    x1 = np.minimum(x0 + 1, w - 1)
-    y1 = np.minimum(y0 + 1, h - 1)
-    top = (1.0 - fx) * src[y0, x0] + fx * src[y0, x1]
-    bot = (1.0 - fx) * src[y1, x0] + fx * src[y1, x1]
-    out = (1.0 - fy) * top + fy * bot
-    out[~inside] = fill
-    return out
+    # The right and lower taps are one step on, except along a
+    # one-pixel side, where both taps are the same pixel.
+    step_x, step_y = int(w > 1), w * int(h > 1)
+    i00 = y0 * w + x0
+    i10 = i00 + step_y
+    return WarpGeometry(corners=(i00, i00 + step_x, i10, i10 + step_x),
+                        fx=fx, fy=fy, inside=inside)
+
+
+def warp_raster(pixels: np.ndarray, alpha_deg: float, fill: float) -> np.ndarray:
+    """Rotate a raster clockwise by ``alpha_deg`` onto its rotation canvas.
+
+    See ``warp_geometry`` for the sampling; destination pixels whose
+    source sample falls outside the raster take ``fill``.
+    """
+    src = np.asarray(pixels, dtype=np.float64)
+    return warp_geometry(*src.shape, alpha_deg).apply(src, fill)
 
 
 def warp_rotate(patch: Patch, alpha_deg: float) -> Patch:

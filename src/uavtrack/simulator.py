@@ -21,7 +21,7 @@ import numpy as np
 from . import gimbal as gim
 from .config import ConfigError, TrackerConfig, iter_kv_lines
 from .errors import InvalidScenario
-from .imaging import Frame, rotation_canvas_side, warp_raster
+from .imaging import Frame, rotation_canvas_side, warp_geometry
 from .tracker import FrameRecord, Tracker, track_frames
 
 Breakpoints = list[tuple[float, ...]]
@@ -76,11 +76,12 @@ class Scenario:
         if side > min(self.width, self.height):
             raise InvalidScenario(
                 f"sprite canvas {side} exceeds frame {self.width}x{self.height}")
+        position = _columns(self.position)
         for k in range(self.n_frames):
             t = self.frame_time(k)
             if self.in_dropout(t):
                 continue
-            cx, cy = _interp_xy(self.position, t)
+            cx, cy = _interp(position, t)
             tlx = round(cx - (side - 1) / 2.0)
             tly = round(cy - (side - 1) / 2.0)
             if tlx < 0 or tly < 0 or tlx + side > self.width or tly + side > self.height:
@@ -142,12 +143,14 @@ def value_noise(rng: np.random.Generator, height: int, width: int, cell: int,
         g = rng.standard_normal((height // step + 2, width // step + 2))
         ys = np.arange(height) / step
         xs = np.arange(width) / step
-        y0 = np.floor(ys).astype(int)[:, None]
-        x0 = np.floor(xs).astype(int)[None, :]
+        y0 = np.floor(ys).astype(int)
+        x0 = np.floor(xs).astype(int)
         fy = (ys % 1.0)[:, None]
         fx = (xs % 1.0)[None, :]
-        top = (1 - fx) * g[y0, x0] + fx * g[y0, x0 + 1]
-        bot = (1 - fx) * g[y0 + 1, x0] + fx * g[y0 + 1, x0 + 1]
+        # Bilinear interpolation is separable: interpolate each lattice row
+        # across x once, then pick and blend the rows above and below.
+        across = (1 - fx) * g.take(x0, axis=1) + fx * g.take(x0 + 1, axis=1)
+        top, bot = across.take(y0, axis=0), across.take(y0 + 1, axis=0)
         acc += amp * ((1 - fy) * top + fy * bot)
         amp *= 0.5
     acc -= acc.mean()
@@ -186,15 +189,15 @@ def blob_sprite(rng: np.random.Generator, width: int, height: int,
     return np.clip(base + contrast * fld, 15.0, 195.0)
 
 
-def _interp_xy(points: Breakpoints, t: float) -> tuple[float, float]:
-    ts = [p[0] for p in points]
-    return (float(np.interp(t, ts, [p[1] for p in points])),
-            float(np.interp(t, ts, [p[2] for p in points])))
+def _columns(points: Breakpoints) -> tuple[np.ndarray, ...]:
+    """A schedule's breakpoint times and each value component, as arrays."""
+    return tuple(np.array(c, dtype=np.float64) for c in zip(*points))
 
 
-def _interp_1d(points: Breakpoints, t: float) -> float:
-    ts = [p[0] for p in points]
-    return float(np.interp(t, ts, [p[1] for p in points]))
+def _interp(columns: tuple[np.ndarray, ...], t: float) -> tuple[float, ...]:
+    """Each value component of a schedule, interpolated at time t."""
+    ts = columns[0]
+    return tuple(float(np.interp(t, ts, c)) for c in columns[1:])
 
 
 # --------------------------------------------------------------------------
@@ -202,7 +205,11 @@ def _interp_1d(points: Breakpoints, t: float) -> float:
 # --------------------------------------------------------------------------
 
 class SceneRenderer:
-    """Renders scenario frames; owns the static world raster."""
+    """Renders scenario frames; owns the static world raster.
+
+    The sprite's warp to the current heading is kept and reused while the
+    heading holds, so a constant-heading scene warps it once.
+    """
 
     def __init__(self, scenario: Scenario):
         scenario.validate()
@@ -216,7 +223,9 @@ class SceneRenderer:
         self.sprite = blob_sprite(rng, s.sprite_width, s.sprite_height,
                                   s.sprite_contrast, s.background_base)
         self.canvas_side = rotation_canvas_side(s.sprite_width, s.sprite_height)
-        self._ones = np.ones_like(self.sprite)
+        self._position, self._heading, self._gain, self._offset = (
+            _columns(points) for points in (s.position, s.heading, s.gain, s.offset))
+        self._warped = None  # (heading, canvas, inside) of the last warp
         self._place_distractors(rng, world)
         world = np.clip(world, 0.0, 255.0)
         world.setflags(write=False)
@@ -226,7 +235,7 @@ class SceneRenderer:
         s = self.scenario
         m = s.world_margin
         side = self.canvas_side
-        path = [_interp_xy(s.position, s.frame_time(k)) for k in range(0, s.n_frames, 5)]
+        path = [_interp(self._position, s.frame_time(k)) for k in range(0, s.n_frames, 5)]
         keep_away = math.hypot(side, side)
         placed = []
         for i in range(s.distractors):
@@ -246,13 +255,15 @@ class SceneRenderer:
         s = self.scenario
         t = s.frame_time(k)
         cx, cy = self._target_center(t)
+        (heading,) = _interp(self._heading, t)
+        (gain,) = _interp(self._gain, t)
+        (offset,) = _interp(self._offset, t)
         return TruthRecord(frame_index=k, time=t, visible=not s.in_dropout(t),
-                           x=cx, y=cy, heading=_interp_1d(s.heading, t) % 360.0,
-                           gain=_interp_1d(s.gain, t), offset=_interp_1d(s.offset, t))
+                           x=cx, y=cy, heading=heading % 360.0, gain=gain, offset=offset)
 
     def _target_center(self, t: float) -> tuple[float, float]:
         """Actually-rendered sprite center in zero-offset frame coordinates."""
-        cx, cy = _interp_xy(self.scenario.position, t)
+        cx, cy = _interp(self._position, t)
         half = (self.canvas_side - 1) / 2.0
         return (round(cx - half) + half, round(cy - half) + half)
 
@@ -281,23 +292,39 @@ class SceneRenderer:
 
         truth = self.truth(k)
         if truth.visible:
-            heading = truth.heading
-            canvas = warp_raster(self.sprite, heading, 0.0)
-            alpha = np.clip(warp_raster(self._ones, heading, 0.0), 0.0, 1.0)
+            canvas, inside = self._sprite_at(truth.heading)
             half = (self.canvas_side - 1) / 2.0
             tlx = int(round(truth.x - half)) - ox
             tly = int(round(truth.y - half)) - oy
-            _blend(crop, canvas, alpha, tlx, tly)
+            _paste(crop, canvas, inside, tlx, tly)
 
-        out = np.clip(truth.gain * crop + truth.offset, 0.0, 255.0)
+        # crop is this frame's own copy: scale, clip and round it in place.
+        crop *= truth.gain
+        crop += truth.offset
+        np.clip(crop, 0.0, 255.0, out=crop)
         if s.quantize:
-            out = np.rint(out)
-        frame = Frame(out, timestamp=t, frame_index=k)
+            np.rint(crop, out=crop)
+        frame = Frame(crop, timestamp=t, frame_index=k)
         return frame, replace(truth, x=truth.x - ox, y=truth.y - oy)
 
+    def _sprite_at(self, heading: float) -> tuple[np.ndarray, np.ndarray]:
+        """The sprite warped to ``heading`` and the mask of the canvas pixels
+        it covers, from one warp geometry, reused while the heading holds."""
+        if self._warped is None or self._warped[0] != heading:
+            geometry = warp_geometry(*self.sprite.shape, heading)
+            self._warped = (heading, geometry.apply(self.sprite, 0.0), geometry.inside)
+        return self._warped[1:]
 
-def _blend(dst: np.ndarray, src: np.ndarray, alpha: np.ndarray, x: int, y: int) -> None:
-    """Alpha-composite src onto dst at (x, y), clipped to dst bounds."""
+
+def _paste(dst: np.ndarray, src: np.ndarray, mask: np.ndarray, x: int, y: int) -> None:
+    """Copy the masked pixels of src onto dst at (x, y), clipped to dst bounds.
+
+    This is the alpha blend ``(1 - a) * dst + a * src`` with ``a`` the warp
+    of an all-ones raster: a sample's bilinear weights ``1 - f`` and ``f``
+    (f in [0, 1]) sum to exactly 1.0 in floating point, so ``a`` is 1.0
+    where the sample falls on the sprite and 0.0 elsewhere, and the blend
+    picks one operand unchanged.
+    """
     h, w = src.shape
     H, W = dst.shape
     x0, y0 = max(0, x), max(0, y)
@@ -305,8 +332,7 @@ def _blend(dst: np.ndarray, src: np.ndarray, alpha: np.ndarray, x: int, y: int) 
     if x0 >= x1 or y0 >= y1:
         return
     sub = (slice(y0 - y, y1 - y), slice(x0 - x, x1 - x))
-    a = alpha[sub]
-    dst[y0:y1, x0:x1] = (1.0 - a) * dst[y0:y1, x0:x1] + a * src[sub]
+    np.copyto(dst[y0:y1, x0:x1], src[sub], where=mask[sub])
 
 
 # --------------------------------------------------------------------------
@@ -343,10 +369,18 @@ def run_closed_loop(scenario: Scenario, cfg: TrackerConfig | None = None,
 # Scenario files
 # --------------------------------------------------------------------------
 
+def _finite(raw: str) -> float:
+    """A float scenario value; ``inf`` and ``nan`` are rejected here, where they enter."""
+    v = float(raw)
+    if not math.isfinite(v):
+        raise ValueError(f"'{raw.strip()}' is not a finite number")
+    return v
+
+
 _SCALAR_KEYS = {
-    "width": int, "height": int, "fps": float, "duration": float, "seed": int,
-    "sprite_width": int, "sprite_height": int, "sprite_contrast": float,
-    "background_base": float, "background_contrast": float,
+    "width": int, "height": int, "fps": _finite, "duration": _finite, "seed": int,
+    "sprite_width": int, "sprite_height": int, "sprite_contrast": _finite,
+    "background_base": _finite, "background_contrast": _finite,
     "background_cell": int, "distractors": int, "world_margin": int,
     "quantize": int,
 }
@@ -411,11 +445,11 @@ def _parse_schedule(raw: str, arity: int) -> Breakpoints:
         if ":" not in item:
             raise ValueError(f"breakpoint '{item}' needs the form t:value")
         t_str, v_str = item.split(":", 1)
-        comps = [float(c) for c in v_str.split(",")]
+        comps = [_finite(c) for c in v_str.split(",")]
         if len(comps) != arity - 1:
             raise ValueError(
                 f"breakpoint '{item}' needs {arity - 1} value component(s)")
-        points.append((float(t_str), *comps))
+        points.append((_finite(t_str), *comps))
     if not points:
         raise ValueError("schedule has no breakpoints")
     if any(b[0] <= a[0] for a, b in zip(points, points[1:])):
@@ -434,7 +468,7 @@ def _parse_dropouts(raw: str) -> list[tuple[float, float]]:
         span = re.fullmatch(r"(.*?[^eE-])-(.+)", item)
         if span is None:
             raise ValueError(f"dropout '{item}' needs the form start-end")
-        a, b = float(span[1]), float(span[2])
+        a, b = _finite(span[1]), _finite(span[2])
         if b <= a:
             raise ValueError(f"dropout '{item}' must have end > start")
         spans.append((a, b))

@@ -1,7 +1,11 @@
+import math
+
 import numpy as np
 import pytest
+from hypothesis import strategies as st
 
 from uavtrack.estimator import SearchWindow
+from uavtrack.imaging import rotation_canvas_side
 from uavtrack.simulator import SceneRenderer
 
 
@@ -17,6 +21,45 @@ def render_open_loop(scenario):
     renderer = SceneRenderer(scenario)
     frames, truth = zip(*(renderer.render(k) for k in range(scenario.n_frames)))
     return list(frames), list(truth)
+
+
+def gather_warp(pixels, alpha_deg, fill):
+    """The warp before its geometry was split out: a full coordinate grid and
+    four 2-D gathers per call. Kept as the oracle of the split form."""
+    src = np.asarray(pixels, dtype=np.float64)
+    h, w = src.shape
+    side = rotation_canvas_side(w, h)
+    mx, my = (side - w) // 2, (side - h) // 2
+    csx, csy = (w - 1) / 2.0, (h - 1) / 2.0
+    cdx, cdy = mx + csx, my + csy
+    a = math.radians(alpha_deg % 360.0)
+    ca, sa = math.cos(a), math.sin(a)
+    ys, xs = np.mgrid[0:side, 0:side]
+    dx = xs - cdx
+    dy = ys - cdy
+    sx = ca * dx + sa * dy + csx
+    sy = -sa * dx + ca * dy + csy
+    for arr in (sx, sy):
+        snapped = np.rint(arr)
+        near = np.abs(arr - snapped) < 1e-9
+        arr[near] = snapped[near]
+    inside = (sx >= 0.0) & (sx <= w - 1) & (sy >= 0.0) & (sy <= h - 1)
+    x0 = np.clip(np.floor(sx), 0, w - 2).astype(np.intp) if w > 1 else np.zeros_like(sx, dtype=np.intp)
+    y0 = np.clip(np.floor(sy), 0, h - 2).astype(np.intp) if h > 1 else np.zeros_like(sy, dtype=np.intp)
+    fx = sx - x0
+    fy = sy - y0
+    x1 = np.minimum(x0 + 1, w - 1)
+    y1 = np.minimum(y0 + 1, h - 1)
+    top = (1.0 - fx) * src[y0, x0] + fx * src[y0, x1]
+    bot = (1.0 - fx) * src[y1, x0] + fx * src[y1, x1]
+    out = (1.0 - fy) * top + fy * bot
+    out[~inside] = fill
+    return out
+
+
+def headings():
+    """Free headings, plus exact quarter turns, where the grid snapping acts."""
+    return st.floats(-1080.0, 1080.0) | st.integers(-12, 12).map(lambda q: 90.0 * q)
 
 
 @pytest.fixture

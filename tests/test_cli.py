@@ -165,6 +165,24 @@ class TestSimulateCommand:
         assert rc == 2
         assert ":3:" in capsys.readouterr().err
 
+    def test_non_finite_scenario_value_exits_2_with_line(self, tmp_path, capsys):
+        text = simulator.scenario_text(quantized_scenario()) + "heading=0:inf\n"
+        bad = tmp_path / "bad.txt"
+        bad.write_text(text)
+        assert main(["simulate", str(bad), "--out", str(tmp_path / "o")]) == 2
+        line = len(text.splitlines())
+        assert f"bad.txt:{line}: 'inf' is not a finite number" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("entry", ["sigma=nan", "count_resolution=inf", "zmncc_threshold=nan"])
+    def test_non_finite_config_exits_2_naming_key(self, tmp_path, capsys, entry):
+        cfg = tmp_path / "bad.cfg"
+        cfg.write_text(entry + "\n")
+        scn = write_scenario(tmp_path / "scn.txt", quantized_scenario(duration=0.5))
+        rc = main(["simulate", scn, "--config", str(cfg), "--out", str(tmp_path / "o")])
+        assert rc == 2
+        key = entry.split("=")[0]
+        assert f"{key} must be a finite number" in capsys.readouterr().err
+
     def test_missing_scenario_exits_2(self, tmp_path):
         assert main(["simulate", str(tmp_path / "nope.txt")]) == 2
 

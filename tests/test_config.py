@@ -65,6 +65,16 @@ def test_fixed_budget_and_bank_size_enforced():
         TrackerConfig.from_text("zmncc_threshold=1.5\n")
 
 
+FLOAT_KEYS = [f.name for f in dataclasses.fields(TrackerConfig) if f.type in ("float", float)]
+
+
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+@pytest.mark.parametrize("key", FLOAT_KEYS)
+def test_non_finite_value_rejected_naming_key(key, value):
+    with pytest.raises(ConfigError, match=f"^{key} must be a finite number"):
+        TrackerConfig.from_text(f"{key}={value}\n")
+
+
 def test_resolve_precedence(tmp_path, monkeypatch):
     env_cfg = tmp_path / "env.cfg"
     env_cfg.write_text("fps=60\n")

@@ -1,10 +1,12 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from conftest import gather_warp, headings
 from uavtrack.errors import DimensionMismatch, NonDiscriminativeTemplate, OutOfBounds
 from uavtrack.imaging import (
     BANK_SIZE, Frame, Patch, build_template_bank, extract_patch,
-    rotation_canvas_side, warp_raster, warp_rotate,
+    rotation_canvas_side, warp_geometry, warp_raster, warp_rotate,
 )
 
 
@@ -139,6 +141,30 @@ class TestWarp:
         a = rng.uniform(0, 255, (6, 6))
         out = warp_raster(a, 45.0, fill=-1.0)
         assert (out == -1.0).any()
+
+
+class TestWarpGeometry:
+    @settings(max_examples=300, deadline=None)
+    @given(st.integers(1, 45), st.integers(1, 45), headings(), st.integers(0, 2 ** 32 - 1))
+    def test_equals_gather_warp(self, h, w, alpha, seed):
+        src = np.random.default_rng(seed).uniform(0.0, 255.0, (h, w))
+        want = gather_warp(src, alpha, fill=-3.5)
+        assert np.array_equal(warp_raster(src, alpha, fill=-3.5), want)
+        geometry = warp_geometry(h, w, alpha)
+        assert np.array_equal(geometry.apply(src, -3.5), want)
+        # The bilinear weights sum to exactly 1.0, so warping an all-ones
+        # raster gives the inside mask: 1.0 on it, 0.0 off it.
+        ones = gather_warp(np.ones((h, w)), alpha, fill=0.0)
+        assert np.array_equal(ones, geometry.inside.astype(np.float64))
+
+    @settings(max_examples=20, deadline=None)
+    @given(st.integers(5, 16), st.integers(5, 16), st.integers(0, 2 ** 32 - 1))
+    def test_bank_equals_gather_warp(self, h, w, seed):
+        p = Patch(np.random.default_rng(seed).uniform(0.0, 255.0, (h, w)))
+        bank = build_template_bank(p)
+        for k, t in enumerate(bank.templates):
+            want = gather_warp(p.pixels, k * 10.0, fill=p.mean)
+            assert np.array_equal(t.pixels, want)
 
 
 class TestTemplateBank:

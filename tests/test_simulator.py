@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from conftest import render_open_loop, window
+from conftest import gather_warp, headings, render_open_loop, window
 from uavtrack import simulator
 from uavtrack.config import ConfigError
 from uavtrack.errors import InvalidScenario
@@ -86,6 +86,110 @@ class TestRendering:
         f1, t1 = r.render(0, (5, -3))
         assert (t1.x, t1.y) == (t0.x - 5, t0.y + 3)
         assert not np.array_equal(f0.pixels, f1.pixels)
+
+
+def two_warp_frame(renderer, k, viewport):
+    """Frame k as rendered before the sprite's warp geometry was shared: an
+    alpha blend with the warp of an all-ones raster, then gain, offset,
+    clip and rounding into new arrays."""
+    s = renderer.scenario
+    m = s.world_margin
+    ox, oy = (max(-m, min(m, v)) for v in viewport)
+    crop = renderer.world[m + oy:m + oy + s.height, m + ox:m + ox + s.width].copy()
+    truth = renderer.truth(k)
+    if truth.visible:
+        canvas = gather_warp(renderer.sprite, truth.heading, 0.0)
+        alpha = np.clip(gather_warp(np.ones_like(renderer.sprite), truth.heading, 0.0), 0.0, 1.0)
+        half = (renderer.canvas_side - 1) / 2.0
+        x, y = int(round(truth.x - half)) - ox, int(round(truth.y - half)) - oy
+        x0, y0 = max(0, x), max(0, y)
+        x1, y1 = min(s.width, x + canvas.shape[1]), min(s.height, y + canvas.shape[0])
+        if x0 < x1 and y0 < y1:
+            sub = (slice(y0 - y, y1 - y), slice(x0 - x, x1 - x))
+            a = alpha[sub]
+            crop[y0:y1, x0:x1] = (1.0 - a) * crop[y0:y1, x0:x1] + a * canvas[sub]
+    out = np.clip(truth.gain * crop + truth.offset, 0.0, 255.0)
+    return np.rint(out) if s.quantize else out
+
+
+class TestSharedWarp:
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(2, 45), st.integers(2, 45), headings(), st.floats(0.5, 1.5),
+           st.floats(-20.0, 20.0), st.booleans(), st.integers(-10, 10), st.integers(-10, 10))
+    def test_frame_equals_two_warp_blend(self, sh, sw, heading, gain, offset, quantize, ox, oy):
+        assume(sh * sw >= 16)
+        size = rotation_canvas_side(sw, sh) + 6
+        s = small_scenario(width=size, height=size, fps=10.0, duration=0.1,
+                           position=[(0.0, size / 2.0, size / 2.0)],
+                           sprite_width=sw, sprite_height=sh, heading=[(0.0, heading)],
+                           gain=[(0.0, gain)], offset=[(0.0, offset)], quantize=quantize,
+                           distractors=0, world_margin=8)
+        r = SceneRenderer(s)
+        frame, _ = r.render(0, (ox, oy))
+        assert np.array_equal(frame.pixels, two_warp_frame(r, 0, (ox, oy)))
+
+    def test_reuse_matches_a_fresh_renderer(self):
+        # heading 30 until 0.5 s, a ramp to 120 at 1.0 s, held to 1.5 s,
+        # then 0.1 degrees a frame
+        s = small_scenario(duration=2.0, position=[(0.0, 50.0, 45.0), (2.0, 70.0, 55.0)],
+                           heading=[(0.0, 30.0), (0.5, 30.0), (1.0, 120.0), (1.5, 120.0),
+                                    (2.0, 121.0)],
+                           gain=[(0.0, 0.9), (2.0, 1.2)], dropouts=[(0.6, 0.8)])
+        order = [3, 3, 25, 4, 0, 39, 25, 13, 8, 3, 30, 31, 30, 14, 22]
+        viewport = {k: (k % 5 - 2, 1 - k % 3) for k in order}
+        r = SceneRenderer(s)
+        world = r.world.copy()
+        got = [r.render(k, viewport[k]) for k in order]
+        for k, (frame, truth) in zip(order, got):
+            want, want_truth = SceneRenderer(s).render(k, viewport[k])
+            assert np.array_equal(frame.pixels, want.pixels), k
+            assert truth == want_truth
+        assert np.array_equal(r.world, world)
+
+    @pytest.mark.parametrize("heading, warps", [([(0.0, 40.0)], 1),
+                                                ([(0.0, 0.0), (1.5, 80.0)], 25)])
+    def test_warps_once_per_heading(self, monkeypatch, heading, warps):
+        calls = []
+        real = simulator.warp_geometry
+        monkeypatch.setattr(simulator, "warp_geometry",
+                            lambda *args: calls.append(args) or real(*args))
+        s = small_scenario(heading=heading, dropouts=[(0.2, 0.45)])
+        render_open_loop(s)
+        assert s.n_frames == 30 and len(calls) == warps  # 5 frames hidden
+
+
+def gathered_value_noise(rng, height, width, cell, octaves=2):
+    """value_noise as first written, with a 2-D gather per lattice corner;
+    kept as the oracle of the separable form."""
+    acc = np.zeros((height, width))
+    amp = 1.0
+    for o in range(octaves):
+        step = max(2, cell >> o)
+        g = rng.standard_normal((height // step + 2, width // step + 2))
+        ys = np.arange(height) / step
+        xs = np.arange(width) / step
+        y0 = np.floor(ys).astype(int)[:, None]
+        x0 = np.floor(xs).astype(int)[None, :]
+        fy = (ys % 1.0)[:, None]
+        fx = (xs % 1.0)[None, :]
+        top = (1 - fx) * g[y0, x0] + fx * g[y0, x0 + 1]
+        bot = (1 - fx) * g[y0 + 1, x0] + fx * g[y0 + 1, x0 + 1]
+        acc += amp * ((1 - fy) * top + fy * bot)
+        amp *= 0.5
+    acc -= acc.mean()
+    sd = acc.std()
+    if sd > 0:
+        acc /= sd
+    return acc
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(1, 80), st.integers(1, 80), st.integers(1, 16), st.integers(1, 3),
+       st.integers(0, 2 ** 32 - 1))
+def test_value_noise_equals_gathered_form(height, width, cell, octaves, seed):
+    got = simulator.value_noise(np.random.default_rng(seed), height, width, cell, octaves)
+    want = gathered_value_noise(np.random.default_rng(seed), height, width, cell, octaves)
+    assert np.array_equal(got, want)
 
 
 class TestValidation:
@@ -173,6 +277,18 @@ class TestScenarioFiles:
         text = ("width=120\nheight=100\nfps=20\nduration=1\nseed=1\n"
                 "position=0:60,50\ndropout=2.5e-05-0.5,0.5-1e+01\n")
         assert parse_scenario(text).dropouts == [(2.5e-05, 0.5), (0.5, 10.0)]
+
+    @pytest.mark.parametrize("line", [
+        "fps=inf", "duration=nan", "sprite_contrast=inf", "background_base=nan",
+        "background_contrast=-inf", "position=0:60,nan", "position=inf:60,50",
+        "heading=0:inf", "gain=0:nan", "offset=0:-inf", "gain=nan:1.0",
+        "dropout=0.2-inf", "dropout=nan-0.5",
+    ])
+    def test_parse_rejects_non_finite(self, line):
+        text = ("width=120\nheight=100\nfps=20\nduration=1\nseed=1\n"
+                "position=0:60,50\n" + line + "\n")
+        with pytest.raises(ConfigError, match=r":7: '-?(inf|nan)' is not a finite number"):
+            parse_scenario(text)
 
     def test_parse_rejects_bad_dropout(self):
         text = ("width=120\nheight=100\nfps=20\nduration=1\nseed=1\n"
