@@ -1,0 +1,84 @@
+#!/usr/bin/env bash
+# Compare the command-line outputs of two checkouts byte for byte.
+#
+#   scripts/compare_outputs.sh PARENT CHANGE
+#
+# PARENT and CHANGE are checkouts of the repository (each with src/ and
+# scenarios/). In each one, with that checkout's own code and scenarios,
+# it runs:
+#   - `simulate` of scenarios/benign.txt, dropout.txt and centering.txt:
+#     report.csv (without the wall_ms column) and motor_log.csv;
+#   - `simulate --export` of a quantized copy of dropout.txt: the same
+#     CSVs, the exported PGM frames and their timestamps.txt;
+#   - `track --dump-frames` of that exported sequence from the copy's
+#     frame-0 target rectangle: track_log.csv and the annotated PGM frames;
+# keeping every command's stdout, stderr and exit code. It then compares the
+# two result trees with `diff -r` and exits 0 when they match, 1 when they
+# differ and 2 on a usage error.
+set -u
+
+if [ $# -ne 2 ] || [ ! -d "$1/src" ] || [ ! -d "$2/src" ]; then
+    echo "usage: $0 PARENT CHANGE   (two checkouts of the repository)" >&2
+    exit 2
+fi
+parent=$(cd "$1" && pwd)
+change=$(cd "$2" && pwd)
+work=$(mktemp -d)
+trap 'rm -rf "$work"' EXIT
+unset UAVTRACK_CONFIG
+
+# uav NAME ARGS...: run the CLI of the checkout in $src, keeping its
+# stdout, stderr and exit code as NAME.{stdout,stderr,exit}.
+uav() {
+    local name=$1
+    shift
+    PYTHONPATH="$src/src" python3 -m uavtrack.cli "$@" >"$name.stdout" 2>"$name.stderr"
+    echo $? >"$name.exit"
+}
+
+# drop_wall_ms CSV: remove the wall_ms column, the one timing in the file.
+drop_wall_ms() {
+    python3 -c '
+import sys
+path = sys.argv[1]
+with open(path) as f:
+    rows = [line.rstrip("\n").split(",") for line in f]
+if "wall_ms" in rows[0]:
+    c = rows[0].index("wall_ms")
+    rows = [r[:c] + r[c + 1:] for r in rows]
+with open(path, "w") as f:
+    f.writelines(",".join(r) + "\n" for r in rows)
+' "$1"
+}
+
+# run_matrix CHECKOUT OUT: run the matrix inside OUT by relative paths, so
+# that a message naming a file reads the same for both checkouts.
+run_matrix() (
+    src=$1
+    mkdir -p "$2" && cd "$2" || exit 2
+    for name in benign dropout centering; do
+        cp "$src/scenarios/$name.txt" .
+        uav "simulate_$name" simulate "$name.txt" --out "$name"
+    done
+    sed 's/^quantize=.*/quantize=1/' dropout.txt >dropout_quantized.txt
+    uav simulate_quantized simulate dropout_quantized.txt --out quantized --export quantized/seq
+    PYTHONPATH="$src/src" python3 -c '
+from uavtrack import simulator
+scenario = simulator.load_scenario("dropout_quantized.txt")
+print(",".join(str(v) for v in simulator.SceneRenderer(scenario).target_rect_frame0()))
+' >roi.txt 2>roi.stderr
+    uav track_quantized track quantized/seq --roi "$(cat roi.txt)" --out retrack --dump-frames
+    for name in benign dropout centering quantized; do
+        if [ -f "$name/report.csv" ]; then drop_wall_ms "$name/report.csv"; fi
+    done
+)
+
+run_matrix "$parent" "$work/parent"
+run_matrix "$change" "$work/change"
+if (cd "$work" && diff -r parent change >diff.txt 2>&1); then
+    echo "outputs identical: $(find "$work/change" -type f | wc -l) files"
+    exit 0
+fi
+head -50 "$work/diff.txt"
+echo "outputs differ" >&2
+exit 1

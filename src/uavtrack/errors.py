@@ -6,7 +6,7 @@ class UavtrackError(ValueError):
 
 
 class DimensionMismatch(UavtrackError):
-    """Color channels or rasters do not share the same dimensions."""
+    """A raster is not 2-D, is empty, or is not the size expected."""
 
 
 class OutOfBounds(UavtrackError):

@@ -78,7 +78,6 @@ class Patch:
     """
 
     pixels: np.ndarray
-    origin: tuple[int, int] = (0, 0)
     mean: float = field(init=False)
     zm_norm: float = field(init=False)
     zm_pixels: np.ndarray = field(init=False, repr=False)
@@ -145,7 +144,7 @@ def extract_patch(frame: Frame, roi: tuple[int, int, int, int]) -> Patch:
     if x < 0 or y < 0 or x + w > frame.width or y + h > frame.height:
         raise OutOfBounds(
             f"roi {roi} outside {frame.width}x{frame.height} frame")
-    patch = Patch(frame.pixels[y:y + h, x:x + w], origin=(x, y))
+    patch = Patch(frame.pixels[y:y + h, x:x + w])
     if patch.is_constant:
         raise NonDiscriminativeTemplate(
             f"roi {roi} has constant intensity; cannot be used as a template")
@@ -246,7 +245,7 @@ def warp_rotate(patch: Patch, alpha_deg: float) -> Patch:
     roughly zero weight in zero-mean correlation.
     """
     out = warp_raster(patch.pixels, alpha_deg, fill=patch.mean)
-    return Patch(out, origin=patch.origin)
+    return Patch(out)
 
 
 def build_template_bank(patch: Patch) -> TemplateBank:

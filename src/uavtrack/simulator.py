@@ -14,7 +14,8 @@ from __future__ import annotations
 
 import math
 import re
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -53,12 +54,6 @@ class Scenario:
     def n_frames(self) -> int:
         return int(round(self.fps * self.duration))
 
-    def frame_time(self, k: int) -> float:
-        return k / self.fps
-
-    def in_dropout(self, t: float) -> bool:
-        return any(a <= t < b for a, b in self.dropouts)
-
     def validate(self) -> "Scenario":
         if self.width < 8 or self.height < 8:
             raise InvalidScenario(f"frame size {self.width}x{self.height} too small")
@@ -66,27 +61,16 @@ class Scenario:
             raise InvalidScenario("fps and duration must be positive")
         if self.n_frames < 1:
             raise InvalidScenario("scenario renders zero frames")
+        for name, least in (("sprite_width", 1), ("sprite_height", 1), ("seed", 0),
+                            ("distractors", 0), ("background_cell", 1), ("world_margin", 0)):
+            if getattr(self, name) < least:
+                raise InvalidScenario(f"{name} must be >= {least}")
         if self.sprite_width * self.sprite_height < 16:
             raise InvalidScenario("sprite must cover at least 16 pixels")
-        if not self.position:
-            raise InvalidScenario("position schedule is empty")
-        if self.world_margin < 0:
-            raise InvalidScenario("world_margin must be >= 0")
-        side = rotation_canvas_side(self.sprite_width, self.sprite_height)
-        if side > min(self.width, self.height):
-            raise InvalidScenario(
-                f"sprite canvas {side} exceeds frame {self.width}x{self.height}")
-        position = _columns(self.position)
-        for k in range(self.n_frames):
-            t = self.frame_time(k)
-            if self.in_dropout(t):
-                continue
-            cx, cy = _interp(position, t)
-            tlx = round(cx - (side - 1) / 2.0)
-            tly = round(cy - (side - 1) / 2.0)
-            if tlx < 0 or tly < 0 or tlx + side > self.width or tly + side > self.height:
-                raise InvalidScenario(
-                    f"target leaves the frame at t={t:.3f}s while in view")
+        for name in ("position", "heading", "gain", "offset"):
+            if not getattr(self, name):
+                raise InvalidScenario(f"{name} schedule is empty")
+        _sample(self)
         return self
 
 
@@ -106,7 +90,6 @@ class TruthRecord:
 class TrackReport:
     records: list[FrameRecord]
     canvas: tuple[int, int]
-    frame_size: tuple[int, int]
 
     def detection_rate(self) -> float:
         visible = [r for r in self.records if r.truth_visible]
@@ -189,15 +172,41 @@ def blob_sprite(rng: np.random.Generator, width: int, height: int,
     return np.clip(base + contrast * fld, 15.0, 195.0)
 
 
-def _columns(points: Breakpoints) -> tuple[np.ndarray, ...]:
-    """A schedule's breakpoint times and each value component, as arrays."""
-    return tuple(np.array(c, dtype=np.float64) for c in zip(*points))
+class _Samples(NamedTuple):
+    """Every frame's schedule values, one array per quantity, indexed by frame."""
+    time: np.ndarray
+    visible: np.ndarray
+    x: np.ndarray        # sprite centre as scheduled, before the pixel grid
+    y: np.ndarray
+    heading: np.ndarray  # as scheduled, not yet reduced to [0, 360)
+    gain: np.ndarray
+    offset: np.ndarray
 
 
-def _interp(columns: tuple[np.ndarray, ...], t: float) -> tuple[float, ...]:
-    """Each value component of a schedule, interpolated at time t."""
-    ts = columns[0]
-    return tuple(float(np.interp(t, ts, c)) for c in columns[1:])
+def _sample(s: Scenario) -> _Samples:
+    """Every frame's schedule values, one ``np.interp`` per schedule component,
+    checked to be finite and to keep the sprite canvas in the frame while in view."""
+    side = rotation_canvas_side(s.sprite_width, s.sprite_height)
+    if side > min(s.width, s.height):
+        raise InvalidScenario(f"sprite canvas {side} exceeds frame {s.width}x{s.height}")
+    t = np.arange(s.n_frames) / s.fps
+    spans = np.array(s.dropouts, dtype=np.float64).reshape(-1, 2)
+    hidden = ((spans[:, :1] <= t) & (t < spans[:, 1:])).any(axis=0)
+
+    def interp(points: Breakpoints) -> list[np.ndarray]:
+        ts, *values = zip(*points)
+        return [np.interp(t, ts, v) for v in values]
+
+    x, y = interp(s.position)
+    (heading,), (gain,), (offset,) = (interp(p) for p in (s.heading, s.gain, s.offset))
+    if not np.isfinite([x, y, heading, gain, offset]).all():
+        raise InvalidScenario("a schedule overflows between breakpoints too close in time")
+    tlx, tly = np.round(x - (side - 1) / 2.0), np.round(y - (side - 1) / 2.0)
+    inside = (tlx >= 0) & (tly >= 0) & (tlx + side <= s.width) & (tly + side <= s.height)
+    out = np.flatnonzero(~(inside | hidden))
+    if out.size:
+        raise InvalidScenario(f"target leaves the frame at t={t[out[0]]:.3f}s while in view")
+    return _Samples(t, ~hidden, x, y, heading, gain, offset)
 
 
 # --------------------------------------------------------------------------
@@ -215,6 +224,14 @@ class SceneRenderer:
         scenario.validate()
         self.scenario = scenario
         s = scenario
+        samples = _sample(s)
+        self.canvas_side = rotation_canvas_side(s.sprite_width, s.sprite_height)
+        half = (self.canvas_side - 1) / 2.0
+        # Per frame: time, visibility, canvas corner, heading in [0, 360), gain and
+        # offset, as Python scalars so that the CSVs print floats and bools, not numpy's.
+        self._rows = [
+            (t, visible, round(x - half), round(y - half), heading % 360.0, gain, offset)
+            for t, visible, x, y, heading, gain, offset in zip(*(c.tolist() for c in samples))]
         rng = np.random.default_rng(s.seed)
         m = s.world_margin
         wh, ww = s.height + 2 * m, s.width + 2 * m
@@ -222,20 +239,17 @@ class SceneRenderer:
             rng, wh, ww, s.background_cell)
         self.sprite = blob_sprite(rng, s.sprite_width, s.sprite_height,
                                   s.sprite_contrast, s.background_base)
-        self.canvas_side = rotation_canvas_side(s.sprite_width, s.sprite_height)
-        self._position, self._heading, self._gain, self._offset = (
-            _columns(points) for points in (s.position, s.heading, s.gain, s.offset))
         self._warped = None  # (heading, canvas, inside) of the last warp
-        self._place_distractors(rng, world)
+        self._place_distractors(rng, world, list(zip(samples.x[::5], samples.y[::5])))
         world = np.clip(world, 0.0, 255.0)
         world.setflags(write=False)
         self.world = world
 
-    def _place_distractors(self, rng: np.random.Generator, world: np.ndarray) -> None:
+    def _place_distractors(self, rng: np.random.Generator, world: np.ndarray,
+                           path: list[tuple[float, float]]) -> None:
         s = self.scenario
         m = s.world_margin
         side = self.canvas_side
-        path = [_interp(self._position, s.frame_time(k)) for k in range(0, s.n_frames, 5)]
         keep_away = math.hypot(side, side)
         placed = []
         for i in range(s.distractors):
@@ -251,28 +265,10 @@ class SceneRenderer:
                     placed.append((cx, cy))
                     break
 
-    def truth(self, k: int) -> TruthRecord:
-        s = self.scenario
-        t = s.frame_time(k)
-        cx, cy = self._target_center(t)
-        (heading,) = _interp(self._heading, t)
-        (gain,) = _interp(self._gain, t)
-        (offset,) = _interp(self._offset, t)
-        return TruthRecord(frame_index=k, time=t, visible=not s.in_dropout(t),
-                           x=cx, y=cy, heading=heading % 360.0, gain=gain, offset=offset)
-
-    def _target_center(self, t: float) -> tuple[float, float]:
-        """Actually-rendered sprite center in zero-offset frame coordinates."""
-        cx, cy = _interp(self._position, t)
-        half = (self.canvas_side - 1) / 2.0
-        return (round(cx - half) + half, round(cy - half) + half)
-
     def target_rect_frame0(self) -> tuple[int, int, int, int]:
         """Sprite-interior ROI (x, y, w, h) in frame 0, for template selection."""
         s = self.scenario
-        cx, cy = self._target_center(0.0)
-        half = (self.canvas_side - 1) / 2.0
-        tlx, tly = int(round(cx - half)), int(round(cy - half))
+        _, _, tlx, tly, *_ = self._rows[0]
         mx = (self.canvas_side - s.sprite_width) // 2
         my = (self.canvas_side - s.sprite_height) // 2
         return (tlx + mx, tly + my, s.sprite_width, s.sprite_height)
@@ -284,28 +280,27 @@ class SceneRenderer:
         coordinates (world position minus the viewport shift).
         """
         s = self.scenario
-        t = s.frame_time(k)
+        if not 0 <= k < len(self._rows):
+            raise IndexError(f"frame {k} outside the scenario's {len(self._rows)} frames")
+        t, visible, tlx, tly, heading, gain, offset = self._rows[k]
         m = s.world_margin
         ox = max(-m, min(m, int(viewport[0])))
         oy = max(-m, min(m, int(viewport[1])))
         crop = self.world[m + oy:m + oy + s.height, m + ox:m + ox + s.width].copy()
-
-        truth = self.truth(k)
-        if truth.visible:
-            canvas, inside = self._sprite_at(truth.heading)
-            half = (self.canvas_side - 1) / 2.0
-            tlx = int(round(truth.x - half)) - ox
-            tly = int(round(truth.y - half)) - oy
-            _paste(crop, canvas, inside, tlx, tly)
+        if visible:
+            canvas, inside = self._sprite_at(heading)
+            _paste(crop, canvas, inside, tlx - ox, tly - oy)
 
         # crop is this frame's own copy: scale, clip and round it in place.
-        crop *= truth.gain
-        crop += truth.offset
+        crop *= gain
+        crop += offset
         np.clip(crop, 0.0, 255.0, out=crop)
         if s.quantize:
             np.rint(crop, out=crop)
-        frame = Frame(crop, timestamp=t, frame_index=k)
-        return frame, replace(truth, x=truth.x - ox, y=truth.y - oy)
+        half = (self.canvas_side - 1) / 2.0
+        truth = TruthRecord(frame_index=k, time=t, visible=visible, x=tlx + half - ox,
+                            y=tly + half - oy, heading=heading, gain=gain, offset=offset)
+        return Frame(crop, timestamp=t, frame_index=k), truth
 
     def _sprite_at(self, heading: float) -> tuple[np.ndarray, np.ndarray]:
         """The sprite warped to ``heading`` and the mask of the canvas pixels
@@ -350,19 +345,17 @@ def run_closed_loop(scenario: Scenario, cfg: TrackerConfig | None = None,
     cfg = (cfg or TrackerConfig()).validate()
     renderer = SceneRenderer(scenario)
     s = scenario
-    if s.in_dropout(0.0):
-        raise InvalidScenario("target must be visible at frame 0 to select a template")
-
     gimbal = gim.Gimbal(cfg, s.width, s.height, s.fps)
-    frame0, _ = renderer.render(0, gimbal.viewport())
+    frame0, truth0 = renderer.render(0, gimbal.viewport())
+    if not truth0.visible:
+        raise InvalidScenario("target must be visible at frame 0 to select a template")
     tracker = Tracker(cfg, frame_size=(s.width, s.height))
     tracker.select(frame0, renderer.target_rect_frame0())
 
     # Lazy: frame k is rendered at the viewport left by frame k-1's gimbal step.
     source = (renderer.render(k, gimbal.viewport()) for k in range(s.n_frames))
     records = list(track_frames(tracker, source, gimbal, frame_sink))
-    return TrackReport(records=records, canvas=tracker.canvas,
-                       frame_size=(s.width, s.height))
+    return TrackReport(records=records, canvas=tracker.canvas)
 
 
 # --------------------------------------------------------------------------
@@ -377,12 +370,19 @@ def _finite(raw: str) -> float:
     return v
 
 
+def _flag(raw: str) -> bool:
+    """A 0/1 scenario value, read as an integer like the other integer keys."""
+    if int(raw) not in (0, 1):
+        raise ValueError(f"'{raw}' is not 0 or 1")
+    return int(raw) == 1
+
+
 _SCALAR_KEYS = {
     "width": int, "height": int, "fps": _finite, "duration": _finite, "seed": int,
     "sprite_width": int, "sprite_height": int, "sprite_contrast": _finite,
     "background_base": _finite, "background_contrast": _finite,
     "background_cell": int, "distractors": int, "world_margin": int,
-    "quantize": int,
+    "quantize": _flag,
 }
 _SCHEDULE_KEYS = {"position": 3, "heading": 2, "gain": 2, "offset": 2}
 
@@ -405,7 +405,6 @@ def parse_scenario(text: str, source: str = "<scenario>") -> Scenario:
     for required in ("width", "height", "fps", "duration", "seed", "position"):
         if required not in values:
             raise ConfigError(f"{source}: missing required key '{required}'")
-    values["quantize"] = bool(values.get("quantize", 0))
     return Scenario(**values).validate()
 
 
@@ -421,11 +420,9 @@ def load_scenario(path: str) -> Scenario:
 def scenario_text(s: Scenario) -> str:
     """Serialize a scenario to the key=value file format."""
     lines = ["# uavtrack scenario"]
-    for key, caster in _SCALAR_KEYS.items():
-        attr = "quantize" if key == "quantize" else key
-        v = getattr(s, attr)
-        lines.append(f"{key}={int(v) if key == 'quantize' else v!r}"
-                     if isinstance(v, float) else f"{key}={int(v)}")
+    for key in _SCALAR_KEYS:
+        v = getattr(s, key)
+        lines.append(f"{key}={v!r}" if isinstance(v, float) else f"{key}={int(v)}")
     for key in _SCHEDULE_KEYS:
         pts = getattr(s, key)
         lines.append(f"{key}=" + ";".join(

@@ -84,7 +84,6 @@ class TestExtractPatch:
         f = Frame(np.arange(25, dtype=float).reshape(5, 5))
         p = extract_patch(f, (1, 1, 2, 2))
         assert np.array_equal(p.pixels, [[6.0, 7.0], [11.0, 12.0]])
-        assert p.origin == (1, 1)
 
     def test_whole_frame_identity(self, rng):
         f = Frame(rng.uniform(0, 255, (5, 5)))

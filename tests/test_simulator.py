@@ -1,8 +1,9 @@
+import dataclasses
 import math
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from conftest import gather_warp, headings, render_open_loop, window
 from uavtrack import simulator
@@ -12,7 +13,7 @@ from uavtrack.gimbal import GimbalState
 from uavtrack.imaging import Patch, extract_patch, rotation_canvas_side
 from uavtrack.matcher import zmncc_fast
 from uavtrack.simulator import (
-    Scenario, SceneRenderer, benign_scenario, dropout_scenario,
+    Scenario, SceneRenderer, TruthRecord, benign_scenario, dropout_scenario,
     parse_scenario, run_closed_loop, scenario_text,
 )
 from uavtrack.tracker import TrackStep, track_frames
@@ -96,7 +97,7 @@ def two_warp_frame(renderer, k, viewport):
     m = s.world_margin
     ox, oy = (max(-m, min(m, v)) for v in viewport)
     crop = renderer.world[m + oy:m + oy + s.height, m + ox:m + ox + s.width].copy()
-    truth = renderer.truth(k)
+    truth = renderer.render(k)[1]
     if truth.visible:
         canvas = gather_warp(renderer.sprite, truth.heading, 0.0)
         alpha = np.clip(gather_warp(np.ones_like(renderer.sprite), truth.heading, 0.0), 0.0, 1.0)
@@ -207,6 +208,60 @@ class TestValidation:
         with pytest.raises(InvalidScenario):
             run_closed_loop(s)
 
+    @pytest.mark.parametrize("position, dropouts, first", [
+        # the 29-pixel canvas crosses the right edge from 0.70 s on ...
+        ([(0.0, 60.0, 50.0), (1.5, 160.0, 50.0)], [], "0.700"),
+        # ... and a dropout to 0.75 s hides the frames in between
+        ([(0.0, 60.0, 50.0), (1.5, 160.0, 50.0)], [(0.3, 0.75)], "0.750"),
+        # corner x 91.5 rounds half to even, to 92: one pixel past the edge
+        ([(0.0, 105.5, 50.0)], [], "0.000"),
+    ])
+    def test_names_first_visible_frame_out(self, position, dropouts, first):
+        s = small_scenario(position=position, dropouts=dropouts)
+        with pytest.raises(InvalidScenario, match=rf"leaves the frame at t={first}s while in view"):
+            s.validate()
+
+    @pytest.mark.parametrize("line, message", [
+        ("sprite_width=-5\nsprite_height=-5", "sprite_width must be >= 1"),
+        ("sprite_height=0", "sprite_height must be >= 1"),
+        ("seed=-1", "seed must be >= 0"),
+        ("distractors=-3", "distractors must be >= 0"),
+        ("background_cell=0", "background_cell must be >= 1"),
+    ])
+    def test_out_of_range_integer_rejected(self, line, message):
+        text = ("width=120\nheight=100\nfps=20\nduration=1\nseed=1\n"
+                "position=0:60,50\n" + line + "\n")
+        with pytest.raises(InvalidScenario, match=message):
+            parse_scenario(text)
+
+    @pytest.mark.parametrize("value", ["7", "-1", "2"])
+    def test_quantize_other_than_0_or_1_rejected(self, value):
+        text = ("width=120\nheight=100\nfps=20\nduration=1\nseed=1\n"
+                "position=0:60,50\nquantize=" + value + "\n")
+        with pytest.raises(ConfigError, match=f":7: '{value}' is not 0 or 1"):
+            parse_scenario(text)
+
+    @pytest.mark.parametrize("name, points", [
+        ("position", [(-1e-311, 60.0, 50.0), (1e-311, 61.0, 50.0)]),
+        ("heading", [(-1e-311, 0.0), (1e-311, 1.0)]),
+        ("gain", [(-1e-311, 1.0), (1e-311, 0.5)]),
+        ("offset", [(-1e-311, 0.0), (1e-311, 2.0)]),
+    ])
+    def test_overflowing_schedule_rejected(self, name, points):
+        # The slope between breakpoints 2e-311 s apart overflows to inf.
+        with pytest.raises(InvalidScenario, match="overflows"):
+            small_scenario(**{name: points}).validate()
+
+    @pytest.mark.parametrize("name", ["position", "heading", "gain", "offset"])
+    def test_empty_schedule_rejected(self, name):
+        with pytest.raises(InvalidScenario, match=f"{name} schedule is empty"):
+            small_scenario(**{name: []}).validate()
+
+    @pytest.mark.parametrize("k", [-1, 30])
+    def test_render_rejects_frame_outside_scenario(self, k):
+        with pytest.raises(IndexError):
+            SceneRenderer(small_scenario()).render(k)
+
 
 finite = st.floats(-1e3, 1e3)
 
@@ -214,6 +269,8 @@ finite = st.floats(-1e3, 1e3)
 def schedule(draw, values, max_size=4):
     """Breakpoints at strictly increasing times, each ``(t, *values())``."""
     times = sorted(draw(st.sets(st.floats(-1.0, 10.0), min_size=1, max_size=max_size)))
+    # Closer breakpoints overflow the interpolation, and validate rejects them.
+    assume(all(b - a > 1e-300 for a, b in zip(times, times[1:])))
     return [(t, *values()) for t in times]
 
 
@@ -245,6 +302,48 @@ def scenarios(draw):
         distractors=draw(st.integers(0, 5)),
         world_margin=draw(st.integers(0, 256)),
         quantize=draw(st.booleans())).validate()
+
+
+def scalar_truth(s: Scenario, canvas_side: int, k: int, viewport) -> TruthRecord:
+    """Frame k's truth as the schedules were first evaluated, one frame at a
+    time: a scalar ``np.interp`` per component, each dropout span tested in
+    turn, and the sprite centre put on the pixel grid by Python's ``round``.
+    Kept as the oracle of the sampled table."""
+    t = k / s.fps
+
+    def at(points):
+        ts, *values = (np.array(c, dtype=np.float64) for c in zip(*points))
+        return [float(np.interp(t, ts, v)) for v in values]
+
+    cx, cy = at(s.position)
+    (heading,), (gain,), (offset,) = at(s.heading), at(s.gain), at(s.offset)
+    half = (canvas_side - 1) / 2.0
+    m = s.world_margin
+    ox, oy = (max(-m, min(m, v)) for v in viewport)
+    return TruthRecord(frame_index=k, time=t, visible=not any(a <= t < b for a, b in s.dropouts),
+                       x=round(cx - half) + half - ox, y=round(cy - half) + half - oy,
+                       heading=heading % 360.0, gain=gain, offset=offset)
+
+
+TRUTH_TYPES = (int, float, bool, float, float, float, float, float)
+
+
+class TestSampledSchedules:
+    @settings(max_examples=40, deadline=None)
+    @given(scenarios(), st.integers(-300, 300), st.integers(-300, 300))
+    # Frame times on the dropout bounds, and sprite centres half a pixel
+    # off the grid, where rounding half to even decides the corner.
+    @example(small_scenario(duration=1.0, position=[(0.0, 60.5, 50.5), (1.0, 61.5, 49.5)],
+                            heading=[(0.0, -30.0), (1.0, 400.0)], dropouts=[(0.25, 0.5)]),
+             3, -2)
+    def test_truth_equals_scalar_evaluation(self, s, ox, oy):
+        r = SceneRenderer(s)
+        for k in range(s.n_frames):
+            frame, truth = r.render(k, (ox, oy))
+            want = scalar_truth(s, r.canvas_side, k, (ox, oy))
+            assert truth == want, k
+            assert tuple(map(type, dataclasses.astuple(truth))) == TRUTH_TYPES
+            assert type(frame.timestamp) is float and frame.timestamp == want.time
 
 
 class TestScenarioFiles:
