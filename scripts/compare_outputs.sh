@@ -8,13 +8,15 @@
 # it runs:
 #   - `simulate` of scenarios/benign.txt, dropout.txt and centering.txt:
 #     report.csv (without the wall_ms column) and motor_log.csv;
+#   - `simulate` of benign.txt with `--config scenarios/default.cfg`, which
+#     runs the config reader: the same CSVs;
 #   - `simulate --export` of a quantized copy of dropout.txt: the same
 #     CSVs, the exported PGM frames and their timestamps.txt;
 #   - `track --dump-frames` of that exported sequence from the copy's
 #     frame-0 target rectangle: track_log.csv and the annotated PGM frames;
 # keeping every command's stdout, stderr and exit code. It then compares the
-# two result trees with `diff -r` and exits 0 when they match, 1 when they
-# differ and 2 on a usage error.
+# two result trees, without the input files, with `diff -r` and exits 0 when
+# they match, 1 when they differ and 2 on a usage error.
 set -u
 
 if [ $# -ne 2 ] || [ ! -d "$1/src" ] || [ ! -d "$2/src" ]; then
@@ -60,6 +62,8 @@ run_matrix() (
         cp "$src/scenarios/$name.txt" .
         uav "simulate_$name" simulate "$name.txt" --out "$name"
     done
+    cp "$src/scenarios/default.cfg" .
+    uav simulate_benign_config simulate benign.txt --config default.cfg --out benign_config
     sed 's/^quantize=.*/quantize=1/' dropout.txt >dropout_quantized.txt
     uav simulate_quantized simulate dropout_quantized.txt --out quantized --export quantized/seq
     PYTHONPATH="$src/src" python3 -c '
@@ -68,9 +72,11 @@ scenario = simulator.load_scenario("dropout_quantized.txt")
 print(",".join(str(v) for v in simulator.SceneRenderer(scenario).target_rect_frame0()))
 ' >roi.txt 2>roi.stderr
     uav track_quantized track quantized/seq --roi "$(cat roi.txt)" --out retrack --dump-frames
-    for name in benign dropout centering quantized; do
+    for name in benign benign_config dropout centering quantized; do
         if [ -f "$name/report.csv" ]; then drop_wall_ms "$name/report.csv"; fi
     done
+    # The inputs are not outputs: the two checkouts' files may differ in comments.
+    rm -f benign.txt dropout.txt centering.txt default.cfg dropout_quantized.txt
 )
 
 run_matrix "$parent" "$work/parent"

@@ -122,8 +122,8 @@ def _parse_roi(text: str) -> tuple[int, int, int, int]:
 def cmd_simulate(args) -> int:
     cfg = resolve_config(args.config)
     scenario = simulator.load_scenario(args.scenario)
-    report = simulator.run_closed_loop(scenario, cfg,
-                                       frame_sink=_export_sink(args.export))
+    sink = pgm.sequence_writer(args.export) if args.export is not None else None
+    report = simulator.run_closed_loop(scenario, cfg, frame_sink=sink)
     os.makedirs(args.out, exist_ok=True)
     rows = [vars(r) for r in report.records]
     write_csv(os.path.join(args.out, "report.csv"), REPORT_COLUMNS, rows)
@@ -135,24 +135,6 @@ def cmd_simulate(args) -> int:
           f"{report.detection_rate():.3f}, false positives "
           f"{report.false_positive_count()}, longest miss run {longest}")
     return 1 if longest > cfg.miss_run_limit else 0
-
-
-def _export_sink(export_dir: str | None):
-    if export_dir is None:
-        return None
-    os.makedirs(export_dir, exist_ok=True)
-    sidecar = os.path.join(export_dir, pgm.TIMESTAMP_SIDECAR)
-    open(sidecar, "w").close()
-
-    def sink(frame: Frame) -> None:
-        pgm.write_pgm(os.path.join(export_dir, pgm.frame_filename(frame.frame_index)),
-                      frame.pixels)
-        # Appending keeps the sidecar in step with the frames written so far;
-        # truncating and rewriting it costs a disk flush per frame.
-        with open(sidecar, "a") as f:
-            f.write(repr(frame.timestamp) + "\n")
-
-    return sink
 
 
 # --------------------------------------------------------------------------

@@ -1,8 +1,9 @@
-"""Tracker configuration: a flat key=value text format.
+"""Tracker configuration, and the key=value text format it shares with
+scenario files.
 
-Lines are ``key=value`` with ``#`` comments and blank lines allowed. The
-same format (plus schedule-valued keys) is used for scenario files, parsed
-in the simulator module.
+Lines are ``key=value`` with ``#`` comments and blank lines allowed. Each
+file kind gives every key a reader; a value that its reader rejects is
+reported as ``<file>:<line>: <reason> for '<key>'``.
 """
 
 from __future__ import annotations
@@ -11,6 +12,7 @@ import dataclasses
 import math
 import os
 from dataclasses import dataclass
+from typing import Callable, Iterable
 
 CONFIG_ENV_VAR = "UAVTRACK_CONFIG"
 
@@ -66,35 +68,48 @@ class TrackerConfig:
         return math.radians(self.tilt_limit_deg)
 
     def to_text(self) -> str:
-        lines = ["# uavtrack configuration"]
-        for f in dataclasses.fields(self):
-            v = getattr(self, f.name)
-            lines.append(f"{f.name}={v!r}" if isinstance(v, float) else f"{f.name}={v}")
-        return "\n".join(lines) + "\n"
+        return kv_text("configuration", self)
 
     @classmethod
     def from_text(cls, text: str, source: str = "<config>") -> "TrackerConfig":
-        fields = {f.name: f.type for f in dataclasses.fields(cls)}
-        values = {}
-        for lineno, key, raw in iter_kv_lines(text, source):
-            if key not in fields:
-                raise ConfigError(f"{source}:{lineno}: unknown key '{key}'")
-            caster = int if fields[key] in ("int", int) else float
-            try:
-                values[key] = caster(raw)
-            except ValueError:
-                raise ConfigError(
-                    f"{source}:{lineno}: cannot parse '{raw}' as {caster.__name__} for '{key}'") from None
-        return cls(**values).validate()
+        return cls(**parse_kv(text, source, field_readers(cls))).validate()
 
     @classmethod
     def from_file(cls, path: str) -> "TrackerConfig":
-        try:
-            with open(path) as f:
-                text = f.read()
-        except OSError as e:
-            raise ConfigError(f"cannot read config {path}: {e}") from None
-        return cls.from_text(text, source=path)
+        return cls.from_text(read_text(path, "config"), source=path)
+
+
+def read_float(raw: str) -> float:
+    """A float value; ``inf`` and ``nan`` are rejected here, where they enter."""
+    try:
+        v = float(raw)
+    except ValueError:
+        raise ValueError(f"cannot parse '{raw.strip()}' as a number") from None
+    if not math.isfinite(v):
+        raise ValueError(f"'{raw.strip()}' is not a finite number")
+    return v
+
+
+def read_int(raw: str) -> int:
+    try:
+        return int(raw)
+    except ValueError:
+        raise ValueError(f"cannot parse '{raw.strip()}' as an integer") from None
+
+
+def read_flag(raw: str) -> bool:
+    """A 0/1 value, read as an integer like the integer keys."""
+    v = read_int(raw)
+    if v not in (0, 1):
+        raise ValueError(f"'{raw}' is not 0 or 1")
+    return v == 1
+
+
+def field_readers(cls) -> dict[str, Callable[[str], object]]:
+    """The reader of each int, float and bool field of the dataclass ``cls``,
+    by field name, in field order."""
+    readers = {"int": read_int, "float": read_float, "bool": read_flag}
+    return {f.name: readers[f.type] for f in dataclasses.fields(cls) if f.type in readers}
 
 
 def iter_kv_lines(text: str, source: str):
@@ -107,6 +122,41 @@ def iter_kv_lines(text: str, source: str):
             raise ConfigError(f"{source}:{lineno}: expected key=value, got '{stripped}'")
         key, raw = stripped.split("=", 1)
         yield lineno, key.strip(), raw.strip()
+
+
+def parse_kv(text: str, source: str, readers: dict[str, Callable[[str], object]]) -> dict:
+    """Every key=value line of ``text``, its value read by ``readers[key]``,
+    which rejects a value by raising ValueError with the reason."""
+    values = {}
+    for lineno, key, raw in iter_kv_lines(text, source):
+        if key not in readers:
+            raise ConfigError(f"{source}:{lineno}: unknown key '{key}'")
+        try:
+            values[key] = readers[key](raw)
+        except ValueError as e:
+            raise ConfigError(f"{source}:{lineno}: {e} for '{key}'") from None
+    return values
+
+
+def read_text(path: str, kind: str) -> str:
+    """The text of the ``kind`` file at ``path``, or a ConfigError."""
+    try:
+        with open(path) as f:
+            return f.read()
+    except OSError as e:
+        raise ConfigError(f"cannot read {kind} {path}: {e}") from None
+
+
+def kv_text(kind: str, obj, items: Iterable[tuple[str, str]] = ()) -> str:
+    """``obj`` as a key=value file: a ``# uavtrack <kind>`` header, a line per
+    int, float and bool field (floats by ``repr``, so that they read back
+    exactly), then a line per (key, text) item."""
+    lines = [f"# uavtrack {kind}"]
+    for name in field_readers(type(obj)):
+        v = getattr(obj, name)
+        lines.append(f"{name}={v!r}" if isinstance(v, float) else f"{name}={int(v)}")
+    lines += [f"{key}={text}" for key, text in items]
+    return "\n".join(lines) + "\n"
 
 
 def resolve_config(path: str | None) -> TrackerConfig:

@@ -27,7 +27,6 @@ if TYPE_CHECKING:
     from .matcher import Detection
 
 DEFAULT_SIGMA = 0.4
-DEFAULT_P0_DIAG = (4.0, 4.0, 25.0, 25.0)
 
 
 class AxisState(NamedTuple):
@@ -144,22 +143,15 @@ def build_noise(dt: float, sigma: float) -> NoiseModel:
 
 
 def init(detection: "Detection", t0: float, sigma: float = DEFAULT_SIGMA,
-         P0: np.ndarray | None = None) -> TrackState:
-    """Start a track at a detection with zero velocity.
-
-    ``P0`` is the 4x4 initial covariance in the order of ``TrackState.x``;
-    it must be symmetric with no term coupling the x and y axes.
-    """
-    P0 = np.diag(DEFAULT_P0_DIAG) if P0 is None else np.asarray(P0, dtype=np.float64)
-    if P0.shape != (4, 4) or not np.array_equal(P0, P0.T) \
-            or P0[np.ix_((0, 2), (1, 3))].any():
-        raise ValueError("P0 must be a symmetric 4x4 covariance with no "
-                         "term coupling the x and y axes")
+         p0_pos: float = 4.0, p0_vel: float = 25.0) -> TrackState:
+    """Start a track at a detection with zero velocity, and on each axis
+    position variance ``p0_pos``, velocity variance ``p0_vel`` and no
+    covariance between them."""
     x, y = (float(c) for c in detection.position)
-    return TrackState(
-        x_axis=AxisState(x, 0.0, float(P0[0, 0]), float(P0[0, 2]), float(P0[2, 2])),
-        y_axis=AxisState(y, 0.0, float(P0[1, 1]), float(P0[1, 3]), float(P0[3, 3])),
-        sigma=sigma, last_time=float(t0))
+    pp, vv = float(p0_pos), float(p0_vel)
+    return TrackState(x_axis=AxisState(x, 0.0, pp, 0.0, vv),
+                      y_axis=AxisState(y, 0.0, pp, 0.0, vv),
+                      sigma=sigma, last_time=float(t0))
 
 
 def _predict_axis(s: AxisState, dt: float, qa: float, qb: float,

@@ -7,13 +7,13 @@ Without a sidecar, timestamps fall back to frame_index / fps.
 
 from __future__ import annotations
 
-import math
 import os
 import re
-from typing import Iterable, Iterator
+from typing import Callable, Iterable, Iterator
 
 import numpy as np
 
+from .config import read_float
 from .imaging import Frame
 
 _FRAME_RE = re.compile(r"^frame_(\d+)\.pgm$")
@@ -76,15 +76,29 @@ def frame_filename(index: int) -> str:
     return f"frame_{index:06d}.pgm"
 
 
+def sequence_writer(dirpath: str) -> Callable[[Frame], None]:
+    """A sink that adds each frame it is given to the sequence at ``dirpath``:
+    its PGM file, and its timestamp as the next sidecar line. An existing
+    sidecar is truncated first."""
+    os.makedirs(dirpath, exist_ok=True)
+    sidecar = os.path.join(dirpath, TIMESTAMP_SIDECAR)
+    open(sidecar, "w").close()
+
+    def write(frame: Frame) -> None:
+        write_pgm(os.path.join(dirpath, frame_filename(frame.frame_index)), frame.pixels)
+        # Appending keeps the sidecar in step with the frames written so far;
+        # truncating and rewriting it costs a disk flush per frame.
+        with open(sidecar, "a") as f:
+            f.write(repr(float(frame.timestamp)) + "\n")
+
+    return write
+
+
 def write_sequence(dirpath: str, frames: Iterable[Frame]) -> None:
     """Write frames plus the timestamp sidecar."""
-    os.makedirs(dirpath, exist_ok=True)
-    lines = []
+    write = sequence_writer(dirpath)
     for frame in frames:
-        write_pgm(os.path.join(dirpath, frame_filename(frame.frame_index)), frame.pixels)
-        lines.append(repr(float(frame.timestamp)))
-    with open(os.path.join(dirpath, TIMESTAMP_SIDECAR), "w") as f:
-        f.write("\n".join(lines) + "\n")
+        write(frame)
 
 
 def load_sequence(dirpath: str, fps: float = 25.0) -> Iterator[Frame]:
@@ -127,10 +141,6 @@ def load_sequence(dirpath: str, fps: float = 25.0) -> Iterator[Frame]:
 def _parse_timestamp(line: str, sidecar: str, lineno: int) -> float:
     """One sidecar line as a finite number of seconds."""
     try:
-        t = float(line)
-    except ValueError:
-        raise ValueError(
-            f"{sidecar}:{lineno}: cannot parse '{line.strip()}' as a timestamp") from None
-    if not math.isfinite(t):
-        raise ValueError(f"{sidecar}:{lineno}: timestamp {t} is not a finite number")
-    return t
+        return read_float(line)
+    except ValueError as e:
+        raise ValueError(f"{sidecar}:{lineno}: {e}") from None

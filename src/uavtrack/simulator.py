@@ -12,6 +12,7 @@ Scenario positions are given in frame coordinates of the unshifted
 
 from __future__ import annotations
 
+import functools
 import math
 import re
 from dataclasses import dataclass, field
@@ -20,7 +21,8 @@ from typing import NamedTuple
 import numpy as np
 
 from . import gimbal as gim
-from .config import ConfigError, TrackerConfig, iter_kv_lines
+from .config import (ConfigError, TrackerConfig, field_readers, kv_text, parse_kv,
+                     read_float, read_text)
 from .errors import InvalidScenario
 from .imaging import Frame, rotation_canvas_side, warp_geometry
 from .tracker import FrameRecord, Tracker, track_frames
@@ -67,9 +69,6 @@ class Scenario:
                 raise InvalidScenario(f"{name} must be >= {least}")
         if self.sprite_width * self.sprite_height < 16:
             raise InvalidScenario("sprite must cover at least 16 pixels")
-        for name in ("position", "heading", "gain", "offset"):
-            if not getattr(self, name):
-                raise InvalidScenario(f"{name} schedule is empty")
         _sample(self)
         return self
 
@@ -185,7 +184,8 @@ class _Samples(NamedTuple):
 
 def _sample(s: Scenario) -> _Samples:
     """Every frame's schedule values, one ``np.interp`` per schedule component,
-    checked to be finite and to keep the sprite canvas in the frame while in view."""
+    checked to have breakpoints at strictly increasing times, to be finite and
+    to keep the sprite canvas in the frame while in view."""
     side = rotation_canvas_side(s.sprite_width, s.sprite_height)
     if side > min(s.width, s.height):
         raise InvalidScenario(f"sprite canvas {side} exceeds frame {s.width}x{s.height}")
@@ -193,12 +193,17 @@ def _sample(s: Scenario) -> _Samples:
     spans = np.array(s.dropouts, dtype=np.float64).reshape(-1, 2)
     hidden = ((spans[:, :1] <= t) & (t < spans[:, 1:])).any(axis=0)
 
-    def interp(points: Breakpoints) -> list[np.ndarray]:
-        ts, *values = zip(*points)
+    def interp(name: str) -> list[np.ndarray]:
+        if not getattr(s, name):
+            raise InvalidScenario(f"{name} schedule is empty")
+        ts, *values = zip(*getattr(s, name))
+        # np.interp needs increasing times, and draws a wrong path without them.
+        if not all(b > a for a, b in zip(ts, ts[1:])):
+            raise InvalidScenario(f"{name} breakpoint times must strictly increase")
         return [np.interp(t, ts, v) for v in values]
 
-    x, y = interp(s.position)
-    (heading,), (gain,), (offset,) = (interp(p) for p in (s.heading, s.gain, s.offset))
+    x, y = interp("position")
+    (heading,), (gain,), (offset,) = (interp(name) for name in ("heading", "gain", "offset"))
     if not np.isfinite([x, y, heading, gain, offset]).all():
         raise InvalidScenario("a schedule overflows between breakpoints too close in time")
     tlx, tly = np.round(x - (side - 1) / 2.0), np.round(y - (side - 1) / 2.0)
@@ -362,91 +367,53 @@ def run_closed_loop(scenario: Scenario, cfg: TrackerConfig | None = None,
 # Scenario files
 # --------------------------------------------------------------------------
 
-def _finite(raw: str) -> float:
-    """A float scenario value; ``inf`` and ``nan`` are rejected here, where they enter."""
-    v = float(raw)
-    if not math.isfinite(v):
-        raise ValueError(f"'{raw.strip()}' is not a finite number")
-    return v
-
-
-def _flag(raw: str) -> bool:
-    """A 0/1 scenario value, read as an integer like the other integer keys."""
-    if int(raw) not in (0, 1):
-        raise ValueError(f"'{raw}' is not 0 or 1")
-    return int(raw) == 1
-
-
-_SCALAR_KEYS = {
-    "width": int, "height": int, "fps": _finite, "duration": _finite, "seed": int,
-    "sprite_width": int, "sprite_height": int, "sprite_contrast": _finite,
-    "background_base": _finite, "background_contrast": _finite,
-    "background_cell": int, "distractors": int, "world_margin": int,
-    "quantize": _flag,
-}
 _SCHEDULE_KEYS = {"position": 3, "heading": 2, "gain": 2, "offset": 2}
 
 
 def parse_scenario(text: str, source: str = "<scenario>") -> Scenario:
     """Parse the key=value scenario format; errors carry line numbers."""
-    values: dict = {}
-    for lineno, key, raw in iter_kv_lines(text, source):
-        try:
-            if key in _SCALAR_KEYS:
-                values[key] = _SCALAR_KEYS[key](raw)
-            elif key in _SCHEDULE_KEYS:
-                values[key] = _parse_schedule(raw, _SCHEDULE_KEYS[key])
-            elif key == "dropout":
-                values["dropouts"] = _parse_dropouts(raw)
-            else:
-                raise ValueError(f"unknown key '{key}'")
-        except ValueError as e:
-            raise ConfigError(f"{source}:{lineno}: {e}") from None
+    readers = {**field_readers(Scenario), "dropout": _parse_dropouts,
+               **{key: functools.partial(_parse_schedule, arity=arity)
+                  for key, arity in _SCHEDULE_KEYS.items()}}
+    values = parse_kv(text, source, readers)
     for required in ("width", "height", "fps", "duration", "seed", "position"):
         if required not in values:
             raise ConfigError(f"{source}: missing required key '{required}'")
+    if "dropout" in values:
+        values["dropouts"] = values.pop("dropout")
     return Scenario(**values).validate()
 
 
 def load_scenario(path: str) -> Scenario:
-    try:
-        with open(path) as f:
-            text = f.read()
-    except OSError as e:
-        raise ConfigError(f"cannot read scenario {path}: {e}") from None
-    return parse_scenario(text, source=path)
+    return parse_scenario(read_text(path, "scenario"), source=path)
 
 
 def scenario_text(s: Scenario) -> str:
     """Serialize a scenario to the key=value file format."""
-    lines = ["# uavtrack scenario"]
-    for key in _SCALAR_KEYS:
-        v = getattr(s, key)
-        lines.append(f"{key}={v!r}" if isinstance(v, float) else f"{key}={int(v)}")
-    for key in _SCHEDULE_KEYS:
-        pts = getattr(s, key)
-        lines.append(f"{key}=" + ";".join(
-            f"{p[0]!r}:" + ",".join(repr(float(c)) for c in p[1:]) for p in pts))
+    items = [(key, ";".join(f"{p[0]!r}:" + ",".join(repr(float(c)) for c in p[1:])
+                            for p in getattr(s, key))) for key in _SCHEDULE_KEYS]
     if s.dropouts:
-        lines.append("dropout=" + ",".join(f"{a!r}-{b!r}" for a, b in s.dropouts))
-    return "\n".join(lines) + "\n"
+        items.append(("dropout", ",".join(f"{a!r}-{b!r}" for a, b in s.dropouts)))
+    return kv_text("scenario", s, items)
+
+
+def _items(raw: str, sep: str) -> list[str]:
+    """The non-blank items of a ``sep``-separated list, stripped."""
+    return [item.strip() for item in raw.split(sep) if item.strip()]
 
 
 def _parse_schedule(raw: str, arity: int) -> Breakpoints:
     """Parse 't:v' or 't:x,y' breakpoints separated by ';'."""
     points = []
-    for item in raw.split(";"):
-        item = item.strip()
-        if not item:
-            continue
+    for item in _items(raw, ";"):
         if ":" not in item:
             raise ValueError(f"breakpoint '{item}' needs the form t:value")
         t_str, v_str = item.split(":", 1)
-        comps = [_finite(c) for c in v_str.split(",")]
+        comps = [read_float(c) for c in v_str.split(",")]
         if len(comps) != arity - 1:
             raise ValueError(
                 f"breakpoint '{item}' needs {arity - 1} value component(s)")
-        points.append((_finite(t_str), *comps))
+        points.append((read_float(t_str), *comps))
     if not points:
         raise ValueError("schedule has no breakpoints")
     if any(b[0] <= a[0] for a, b in zip(points, points[1:])):
@@ -456,16 +423,13 @@ def _parse_schedule(raw: str, arity: int) -> Breakpoints:
 
 def _parse_dropouts(raw: str) -> list[tuple[float, float]]:
     spans = []
-    for item in raw.split(","):
-        item = item.strip()
-        if not item:
-            continue
+    for item in _items(raw, ","):
         # The separator is the first '-' that is neither a sign nor part of
         # an exponent, so spans such as 2.5e-05-1.0 read back as written.
         span = re.fullmatch(r"(.*?[^eE-])-(.+)", item)
         if span is None:
             raise ValueError(f"dropout '{item}' needs the form start-end")
-        a, b = _finite(span[1]), _finite(span[2])
+        a, b = read_float(span[1]), read_float(span[2])
         if b <= a:
             raise ValueError(f"dropout '{item}' must have end > start")
         spans.append((a, b))
@@ -473,42 +437,8 @@ def _parse_dropouts(raw: str) -> list[tuple[float, float]]:
 
 
 # --------------------------------------------------------------------------
-# Standard scenarios
+# The benchmark scenario
 # --------------------------------------------------------------------------
-
-def benign_scenario(seed: int = 11) -> Scenario:
-    """500 frames, gentle near-center drift, heading ramp 0-350, gain 0.8-1.3.
-
-    The drift rate stays within what the stiff default filter can follow;
-    see the README notes on the tracking envelope.
-    """
-    return Scenario(
-        width=320, height=240, fps=25.0, duration=20.0, seed=seed,
-        position=[(0.0, 159.0, 119.0), (10.0, 171.0, 127.0), (20.0, 163.0, 121.0)],
-        heading=[(0.0, 0.0), (20.0, 350.0)],
-        gain=[(0.0, 1.0), (8.0, 1.3), (16.0, 0.8), (20.0, 1.0)],
-    )
-
-
-def dropout_scenario(seed: int = 23) -> Scenario:
-    """Steady track, then a 30-frame dropout (t in [10, 11.2)), then reappearance."""
-    return Scenario(
-        width=320, height=240, fps=25.0, duration=20.0, seed=seed,
-        position=[(0.0, 150.0, 110.0), (20.0, 186.0, 134.0)],
-        heading=[(0.0, 0.0)],
-        dropouts=[(10.0, 11.2)],
-    )
-
-
-def centering_scenario(seed: int = 31) -> Scenario:
-    """Static off-center target for closed-loop gimbal convergence."""
-    return Scenario(
-        width=320, height=240, fps=25.0, duration=20.0, seed=seed,
-        position=[(0.0, 120.0, 96.0)],
-        heading=[(0.0, 0.0)],
-        distractors=0,
-    )
-
 
 def benchmark_scenario(patch_width: int, patch_height: int, seed: int = 5,
                        n_frames: int = 600) -> Scenario:

@@ -13,8 +13,6 @@ import time
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Callable, Iterable, Iterator, Optional
 
-import numpy as np
-
 from . import estimator, matcher
 from .config import TrackerConfig
 from .errors import DimensionMismatch
@@ -74,8 +72,8 @@ class Tracker:
             det = matcher.detect(frame, self.bank, self.sched, window,
                                  self.cfg.zmncc_threshold)
             if det is not None:
-                self.state = estimator.init(
-                    det, t, sigma=self.cfg.sigma, P0=self._p0())
+                self.state = estimator.init(det, t, self.cfg.sigma,
+                                            self.cfg.p0_pos, self.cfg.p0_vel)
         else:
             pred = estimator.predict(self.state, t)
             window = estimator.search_window(pred, self.canvas, self.frame_size)
@@ -88,10 +86,6 @@ class Tracker:
             window_rect=(window.x0, window.y0, window.x1, window.y1),
             half_width=window.half_width, half_height=window.half_height,
             templates_evaluated=self.sched.last_frame_evals)
-
-    def _p0(self) -> np.ndarray:
-        return np.diag([self.cfg.p0_pos, self.cfg.p0_pos,
-                        self.cfg.p0_vel, self.cfg.p0_vel])
 
 
 @dataclass

@@ -1,4 +1,5 @@
 import math
+import os
 
 import numpy as np
 import pytest
@@ -6,7 +7,9 @@ from hypothesis import strategies as st
 
 from uavtrack.estimator import SearchWindow
 from uavtrack.imaging import rotation_canvas_side
-from uavtrack.simulator import SceneRenderer
+from uavtrack.simulator import SceneRenderer, load_scenario
+
+SCENARIOS = os.path.join(os.path.dirname(__file__), os.pardir, "scenarios")
 
 
 def window(x0, y0, x1, y1) -> SearchWindow:
@@ -14,6 +17,11 @@ def window(x0, y0, x1, y1) -> SearchWindow:
     return SearchWindow(center=((x0 + x1) / 2.0, (y0 + y1) / 2.0),
                         half_width=(x1 - x0) / 2.0, half_height=(y1 - y0) / 2.0,
                         clamped=False, x0=x0, y0=y0, x1=x1, y1=y1)
+
+
+def standard_scenario(name: str):
+    """A shipped scenario, read from ``scenarios/<name>.txt``."""
+    return load_scenario(os.path.join(SCENARIOS, f"{name}.txt"))
 
 
 def render_open_loop(scenario):

@@ -12,7 +12,7 @@ from contextlib import contextmanager
 import numpy as np
 import pytest
 
-from conftest import window
+from conftest import standard_scenario, window
 from uavtrack import simulator
 from uavtrack.cli import main, run_benchmark, DEFAULT_BENCH_SIZES
 from uavtrack.config import TrackerConfig
@@ -35,12 +35,12 @@ def criterion(number: int, label: str):
 
 @pytest.fixture(scope="module")
 def benign_report():
-    return simulator.run_closed_loop(simulator.benign_scenario())
+    return simulator.run_closed_loop(standard_scenario("benign"))
 
 
 @pytest.fixture(scope="module")
 def dropout_report():
-    return simulator.run_closed_loop(simulator.dropout_scenario())
+    return simulator.run_closed_loop(standard_scenario("dropout"))
 
 
 def test_criterion_1_oracle_equivalence():
@@ -171,7 +171,7 @@ def test_criterion_6_throughput_ordering():
 
 
 def test_criterion_7_gimbal_centering():
-    scn = simulator.centering_scenario()
+    scn = standard_scenario("centering")
     rep = simulator.run_closed_loop(scn)
     gimbal = Gimbal(TrackerConfig(), scn.width, scn.height, scn.fps)
     count_px = gimbal.state.count_resolution / gimbal.cam.rad_per_px_x
@@ -194,7 +194,7 @@ def test_criterion_7_gimbal_centering():
 
 
 def test_criterion_8_determinism(tmp_path):
-    scn = simulator.benign_scenario()
+    scn = standard_scenario("benign")
     scn.duration = 4.0
     scn_path = tmp_path / "scn.txt"
     scn_path.write_text(simulator.scenario_text(scn))

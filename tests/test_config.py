@@ -1,8 +1,11 @@
 import dataclasses
+import math
+import os
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from conftest import SCENARIOS
 from uavtrack.config import CONFIG_ENV_VAR, ConfigError, TrackerConfig, resolve_config
 
 
@@ -47,8 +50,12 @@ def test_unknown_key_reports_line():
 
 
 def test_bad_value_reports_line():
-    with pytest.raises(ConfigError, match=":1:"):
+    with pytest.raises(ConfigError,
+                       match="^<config>:1: cannot parse 'fast' as a number for 'fps'$"):
         TrackerConfig.from_text("fps=fast\n")
+    with pytest.raises(ConfigError,
+                       match="^<config>:2: cannot parse '3.5' as an integer for 'miss_run_limit'$"):
+        TrackerConfig.from_text("fps=30\nmiss_run_limit=3.5\n")
 
 
 def test_missing_equals_reports_line():
@@ -71,8 +78,23 @@ FLOAT_KEYS = [f.name for f in dataclasses.fields(TrackerConfig) if f.type in ("f
 @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
 @pytest.mark.parametrize("key", FLOAT_KEYS)
 def test_non_finite_value_rejected_naming_key(key, value):
+    message = f"^<config>:2: '{value}' is not a finite number for '{key}'$"
+    with pytest.raises(ConfigError, match=message):
+        TrackerConfig.from_text(f"# comment\n{key}={value}\n")
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("key", FLOAT_KEYS)
+def test_non_finite_field_rejected_by_validate_naming_key(key, value):
     with pytest.raises(ConfigError, match=f"^{key} must be a finite number"):
-        TrackerConfig.from_text(f"{key}={value}\n")
+        TrackerConfig(**{key: value}).validate()
+
+
+def test_shipped_default_config_lists_every_default():
+    path = os.path.join(SCENARIOS, "default.cfg")
+    assert TrackerConfig.from_file(path) == TrackerConfig()
+    with open(path) as f:
+        assert TrackerConfig().to_text() == f.read()
 
 
 def test_resolve_precedence(tmp_path, monkeypatch):

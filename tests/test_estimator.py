@@ -4,8 +4,7 @@ from hypothesis import given, settings, strategies as st
 
 from uavtrack.errors import InvalidTimestep
 from uavtrack.estimator import (
-    DEFAULT_P0_DIAG, AxisState, TrackState, build_noise, correct, init, predict,
-    search_window,
+    AxisState, TrackState, build_noise, correct, init, predict, search_window,
 )
 from uavtrack.matcher import Detection
 
@@ -73,35 +72,9 @@ class TestInit:
         assert np.array_equal(st.x, [100.0, 50.0, 0.0, 0.0])
         assert st.last_time == 2.0
 
-    def test_p0_verbatim(self):
-        p0 = np.diag([4.0, 4.0, 25.0, 25.0])
-        st = init(det(1, 2), 0.0, P0=p0)
-        assert np.array_equal(st.P, p0)
-        assert np.array_equal(np.diag(init(det(1, 2), 0.0).P), DEFAULT_P0_DIAG)
-
     def test_deterministic(self):
         a, b = init(det(7, 9), 1.0), init(det(7, 9), 1.0)
         assert np.array_equal(a.x, b.x) and np.array_equal(a.P, b.P)
-
-    def test_p0_with_in_axis_coupling_kept(self):
-        p0 = np.diag([4.0, 9.0, 25.0, 16.0])
-        p0[0, 2] = p0[2, 0] = 1.5
-        p0[1, 3] = p0[3, 1] = -2.0
-        assert np.array_equal(init(det(1, 2), 0.0, P0=p0).P, p0)
-
-    @pytest.mark.parametrize("i, j", [(0, 1), (0, 3), (1, 2), (2, 3)])
-    def test_cross_axis_p0_rejected(self, i, j):
-        p0 = np.diag([4.0, 4.0, 25.0, 25.0])
-        p0[i, j] = p0[j, i] = 0.5
-        with pytest.raises(ValueError, match="coupling"):
-            init(det(1, 2), 0.0, P0=p0)
-
-    def test_malformed_p0_rejected(self):
-        asymmetric = np.diag([4.0, 4.0, 25.0, 25.0])
-        asymmetric[0, 2] = 1.0
-        for p0 in (np.eye(3), asymmetric):
-            with pytest.raises(ValueError):
-                init(det(1, 2), 0.0, P0=p0)
 
 
 class TestPredictCorrect:
@@ -270,9 +243,9 @@ positive = st.floats(1e-3, 100.0)
 
 @st.composite
 def filter_runs(draw):
-    """A diagonal P0, a noise level and a sequence of (dt, measurement or
-    None for a miss) steps."""
-    p0 = np.diag([draw(positive) for _ in range(4)])
+    """Initial position and velocity variances, a noise level and a sequence
+    of (dt, measurement or None for a miss) steps."""
+    p0 = (draw(positive), draw(positive))
     sigma = draw(st.floats(1e-3, 2.0))
     steps = draw(st.lists(st.tuples(
         st.floats(0.01, 0.2),
@@ -286,8 +259,9 @@ class TestTwoAxisFilterProperties:
     @given(filter_runs())
     def test_matches_four_state_oracle(self, run):
         p0, sigma, steps = run
-        state = init(det(120, 80), 0.0, sigma=sigma, P0=p0)
-        x, P = state.x, state.P
+        state = init(det(120, 80), 0.0, sigma=sigma, p0_pos=p0[0], p0_vel=p0[1])
+        x, P = np.array([120.0, 80.0, 0.0, 0.0]), np.diag([p0[0], p0[0], p0[1], p0[1]])
+        assert np.array_equal(state.x, x) and np.array_equal(state.P, P)
         t = 0.0
         for dt, noise in steps:
             prev, t = t, t + dt
@@ -301,14 +275,3 @@ class TestTwoAxisFilterProperties:
             assert_close(state.P, P)
             assert np.array_equal(state.P, state.P.T)
             assert np.linalg.eigvalsh(state.P).min() >= -1e-9 * float(np.abs(P).max())
-
-    @settings(max_examples=100, deadline=None)
-    @given(st.lists(positive, min_size=4, max_size=4),
-           st.sampled_from([(0, 1), (0, 3), (1, 2), (2, 3)]),
-           st.floats(-10.0, 10.0).filter(lambda c: c != 0.0))
-    def test_cross_axis_p0_rejected(self, diag, ij, coupling):
-        p0 = np.diag(diag)
-        i, j = ij
-        p0[i, j] = p0[j, i] = coupling
-        with pytest.raises(ValueError):
-            init(det(0, 0), 0.0, P0=p0)

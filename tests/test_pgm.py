@@ -1,3 +1,5 @@
+import os
+
 import numpy as np
 import pytest
 
@@ -67,6 +69,30 @@ class TestSequences:
             assert np.array_equal(a.pixels, b.pixels)
             assert a.timestamp == b.timestamp
             assert a.frame_index == b.frame_index
+
+    def test_writer_truncates_stale_sidecar(self, tmp_path, rng):
+        sidecar = tmp_path / pgm.TIMESTAMP_SIDECAR
+        sidecar.write_text("stale\n" * 9)
+        write = pgm.sequence_writer(str(tmp_path))
+        assert sidecar.read_text() == ""
+        for frame in self._frames(rng, n=2):
+            write(frame)
+        assert sidecar.read_text() == "0.0\n0.1\n"
+
+    def test_writer_adds_one_sidecar_line_per_frame_in_order(self, tmp_path, rng):
+        frames = [Frame(rng.integers(0, 256, (6, 8)).astype(float),
+                        timestamp=k / 3.0, frame_index=k) for k in range(5)]
+        seq = tmp_path / "seq"
+        write = pgm.sequence_writer(str(seq))
+        for n, frame in enumerate(frames, start=1):
+            write(frame)
+            lines = (seq / pgm.TIMESTAMP_SIDECAR).read_text().splitlines()
+            assert lines == [repr(k / 3.0) for k in range(n)]
+        assert sorted(os.listdir(seq)) == [pgm.frame_filename(k) for k in range(5)] + [
+            pgm.TIMESTAMP_SIDECAR]
+        for frame in frames:
+            assert np.array_equal(pgm.read_pgm(str(seq / pgm.frame_filename(frame.frame_index))),
+                                  frame.pixels)
 
     def test_fps_fallback_without_sidecar(self, tmp_path, rng):
         frames = self._frames(rng, n=3)

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
-from conftest import gather_warp, headings, render_open_loop, window
+from conftest import gather_warp, headings, render_open_loop, standard_scenario, window
 from uavtrack import simulator
 from uavtrack.config import ConfigError
 from uavtrack.errors import InvalidScenario
@@ -13,8 +13,7 @@ from uavtrack.gimbal import GimbalState
 from uavtrack.imaging import Patch, extract_patch, rotation_canvas_side
 from uavtrack.matcher import zmncc_fast
 from uavtrack.simulator import (
-    Scenario, SceneRenderer, TruthRecord, benign_scenario, dropout_scenario,
-    parse_scenario, run_closed_loop, scenario_text,
+    Scenario, SceneRenderer, TruthRecord, parse_scenario, run_closed_loop, scenario_text,
 )
 from uavtrack.tracker import TrackStep, track_frames
 
@@ -252,6 +251,18 @@ class TestValidation:
         with pytest.raises(InvalidScenario, match="overflows"):
             small_scenario(**{name: points}).validate()
 
+    @pytest.mark.parametrize("name, points", [
+        # np.interp drew this path 60, 61, ... 65 and then 30 from t=0.6 s on.
+        ("position", [(0.0, 60.0, 50.0), (1.0, 70.0, 50.0), (0.5, 30.0, 50.0)]),
+        ("heading", [(0.0, 0.0), (1.0, 10.0), (1.0, 20.0)]),
+        ("gain", [(0.5, 1.0), (0.0, 0.8)]),
+        ("offset", [(0.0, 0.0), (math.nan, 2.0)]),
+    ])
+    def test_out_of_order_breakpoints_rejected(self, name, points):
+        with pytest.raises(InvalidScenario,
+                           match=f"^{name} breakpoint times must strictly increase$"):
+            small_scenario(**{name: points}).validate()
+
     @pytest.mark.parametrize("name", ["position", "heading", "gain", "offset"])
     def test_empty_schedule_rejected(self, name):
         with pytest.raises(InvalidScenario, match=f"{name} schedule is empty"):
@@ -348,7 +359,7 @@ class TestSampledSchedules:
 
 class TestScenarioFiles:
     def test_text_round_trip(self):
-        s = benign_scenario()
+        s = standard_scenario("benign")
         s.dropouts = [(1.0, 2.5)]
         assert parse_scenario(scenario_text(s)) == s
 
@@ -409,13 +420,13 @@ class TestClosedLoop:
                 assert getattr(a, field) == getattr(b, field)
 
     def test_benign_truth_error_bounded(self):
-        rep = run_closed_loop(benign_scenario())
+        rep = run_closed_loop(standard_scenario("benign"))
         det = [r for r in rep.records if r.detected]
         err = sorted(math.hypot(r.x - r.truth_x, r.y - r.truth_y) for r in det)
         assert err[int(0.95 * len(err))] <= 3.0
 
     def test_dropout_report_shape(self):
-        rep = run_closed_loop(dropout_scenario())
+        rep = run_closed_loop(standard_scenario("dropout"))
         hidden = [r for r in rep.records if not r.truth_visible]
         assert len(hidden) == 30
         assert all(r.miss for r in hidden)
