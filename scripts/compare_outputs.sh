@@ -14,9 +14,11 @@
 #     CSVs, the exported PGM frames and their timestamps.txt;
 #   - `track --dump-frames` of that exported sequence from the copy's
 #     frame-0 target rectangle: track_log.csv and the annotated PGM frames;
-# keeping every command's stdout, stderr and exit code. It then compares the
-# two result trees, without the input files, with `diff -r` and exits 0 when
-# they match, 1 when they differ and 2 on a usage error.
+#   - `benchmark` of two small patch sizes over 40 frames: its CSV without
+#     the fps column, and no stdout, since both hold timings;
+# keeping every command's stdout, stderr and exit code unless noted. It then
+# compares the two result trees, without the input files, with `diff -r` and
+# exits 0 when they match, 1 when they differ and 2 on a usage error.
 set -u
 
 if [ $# -ne 2 ] || [ ! -d "$1/src" ] || [ ! -d "$2/src" ]; then
@@ -38,19 +40,19 @@ uav() {
     echo $? >"$name.exit"
 }
 
-# drop_wall_ms CSV: remove the wall_ms column, the one timing in the file.
-drop_wall_ms() {
+# drop_column CSV COLUMN: remove COLUMN, a timing, from the file.
+drop_column() {
     python3 -c '
 import sys
-path = sys.argv[1]
+path, column = sys.argv[1:]
 with open(path) as f:
     rows = [line.rstrip("\n").split(",") for line in f]
-if "wall_ms" in rows[0]:
-    c = rows[0].index("wall_ms")
+if column in rows[0]:
+    c = rows[0].index(column)
     rows = [r[:c] + r[c + 1:] for r in rows]
 with open(path, "w") as f:
     f.writelines(",".join(r) + "\n" for r in rows)
-' "$1"
+' "$1" "$2"
 }
 
 # run_matrix CHECKOUT OUT: run the matrix inside OUT by relative paths, so
@@ -73,8 +75,11 @@ print(",".join(str(v) for v in simulator.SceneRenderer(scenario).target_rect_fra
 ' >roi.txt 2>roi.stderr
     uav track_quantized track quantized/seq --roi "$(cat roi.txt)" --out retrack --dump-frames
     for name in benign benign_config dropout centering quantized; do
-        if [ -f "$name/report.csv" ]; then drop_wall_ms "$name/report.csv"; fi
+        if [ -f "$name/report.csv" ]; then drop_column "$name/report.csv" wall_ms; fi
     done
+    uav benchmark benchmark --sizes 20x22,27x28 --frames 40 --csv bench.csv
+    rm -f benchmark.stdout
+    if [ -f bench.csv ]; then drop_column bench.csv fps; fi
     # The inputs are not outputs: the two checkouts' files may differ in comments.
     rm -f benign.txt dropout.txt centering.txt default.cfg dropout_quantized.txt
 )

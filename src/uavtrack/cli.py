@@ -154,11 +154,6 @@ class BenchmarkRow:
         return self.patch_width * self.patch_height
 
 
-@dataclass
-class BenchmarkResult:
-    rows: list[BenchmarkRow]
-
-
 DEFAULT_BENCH_SIZES = [(27, 28), (20, 22), (38, 30), (30, 33)]
 BENCH_PASSES = 5
 
@@ -203,13 +198,15 @@ class _Clip:
         """Track the clip from its frame 0, stepping a gimbal."""
         s = self.scenario
         tracker = Tracker(cfg, frame_size=(s.width, s.height))
-        first, _ = next(self.frames())
-        tracker.select(first, self.roi)
-        return track_frames(tracker, self.frames(), Gimbal(cfg, s.width, s.height, s.fps))
+        frames = self.frames()
+        first = next(frames)
+        tracker.select(first[0], self.roi)
+        return track_frames(tracker, itertools.chain([first], frames),
+                            Gimbal(cfg, s.width, s.height, s.fps))
 
 
 def run_benchmark(cfg: TrackerConfig, sizes: list[tuple[int, int]],
-                  n_frames: int = 600) -> BenchmarkResult:
+                  n_frames: int = 600) -> list[BenchmarkRow]:
     """Time the tracking loop on pre-rendered 640x480 sequences.
 
     Rendering is excluded (frames are rasterized up front as 8-bit
@@ -217,7 +214,8 @@ def run_benchmark(cfg: TrackerConfig, sizes: list[tuple[int, int]],
     the raster, frame construction, matching, filtering and gimbal
     stepping. Each of ``BENCH_PASSES`` passes tracks every size in
     lockstep, one frame of each in turn, so drift in machine speed hits
-    every size alike; a row reports the median fps over the passes.
+    every size alike; a row reports the median fps over the passes. Rows
+    are sorted by patch area.
     """
     clips = [_Clip.render(w, h, n_frames) for w, h in sizes]
     fps: list[list[float]] = [[] for _ in sizes]
@@ -233,14 +231,13 @@ def run_benchmark(cfg: TrackerConfig, sizes: list[tuple[int, int]],
     rows = [BenchmarkRow(patch_width=w, patch_height=h, frames=len(clip.boxes),
                          fps=statistics.median(rates), mean_templates=n / len(clip.boxes))
             for (w, h), clip, rates, n in zip(sizes, clips, fps, evals)]
-    rows.sort(key=lambda r: r.area)
-    return BenchmarkResult(rows=rows)
+    return sorted(rows, key=lambda r: r.area)
 
 
-def format_benchmark(result: BenchmarkResult) -> str:
+def format_benchmark(rows: list[BenchmarkRow]) -> str:
     lines = [f"{'Patch Size (Pixels)':<22}{'Number of Frames':<18}"
              f"{'Tracking Speed (Frames/Sec)':<30}{'Templates/Frame':<16}"]
-    for r in result.rows:
+    for r in rows:
         label = f"{r.patch_width}x{r.patch_height}({r.area})"
         lines.append(f"{label:<22}{r.frames:<18}{r.fps:<30.2f}{r.mean_templates:<16.2f}")
     return "\n".join(lines)
@@ -254,15 +251,13 @@ def cmd_benchmark(args) -> int:
     for w, h in sizes:
         if w < 4 or h < 4 or w > 320 or h > 240:
             raise ConfigError(f"patch size {w}x{h} out of range (4..half frame)")
-    result = run_benchmark(cfg, sizes, n_frames=args.frames)
-    print(format_benchmark(result))
+    rows = run_benchmark(cfg, sizes, n_frames=args.frames)
+    print(format_benchmark(rows))
     if args.csv:
         write_csv(args.csv,
                   ["patch_width", "patch_height", "area", "frames", "fps",
                    "mean_templates"],
-                  [{"patch_width": r.patch_width, "patch_height": r.patch_height,
-                    "area": r.area, "frames": r.frames, "fps": r.fps,
-                    "mean_templates": r.mean_templates} for r in result.rows])
+                  [dict(vars(r), area=r.area) for r in rows])
     return 0
 
 

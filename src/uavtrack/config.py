@@ -67,9 +67,6 @@ class TrackerConfig:
     def tilt_limit(self) -> float:
         return math.radians(self.tilt_limit_deg)
 
-    def to_text(self) -> str:
-        return kv_text("configuration", self)
-
     @classmethod
     def from_text(cls, text: str, source: str = "<config>") -> "TrackerConfig":
         return cls(**parse_kv(text, source, field_readers(cls))).validate()
@@ -112,23 +109,18 @@ def field_readers(cls) -> dict[str, Callable[[str], object]]:
     return {f.name: readers[f.type] for f in dataclasses.fields(cls) if f.type in readers}
 
 
-def iter_kv_lines(text: str, source: str):
-    """Yield (lineno, key, value) for each key=value line; '#' starts a comment."""
+def parse_kv(text: str, source: str, readers: dict[str, Callable[[str], object]]) -> dict:
+    """Every key=value line of ``text``, its value read by ``readers[key]``,
+    which rejects a value by raising ValueError with the reason. '#' starts
+    a comment."""
+    values = {}
     for lineno, line in enumerate(text.splitlines(), start=1):
         stripped = line.split("#", 1)[0].strip()
         if not stripped:
             continue
         if "=" not in stripped:
             raise ConfigError(f"{source}:{lineno}: expected key=value, got '{stripped}'")
-        key, raw = stripped.split("=", 1)
-        yield lineno, key.strip(), raw.strip()
-
-
-def parse_kv(text: str, source: str, readers: dict[str, Callable[[str], object]]) -> dict:
-    """Every key=value line of ``text``, its value read by ``readers[key]``,
-    which rejects a value by raising ValueError with the reason."""
-    values = {}
-    for lineno, key, raw in iter_kv_lines(text, source):
+        key, raw = (part.strip() for part in stripped.split("=", 1))
         if key not in readers:
             raise ConfigError(f"{source}:{lineno}: unknown key '{key}'")
         try:

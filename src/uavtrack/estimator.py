@@ -26,8 +26,6 @@ from .errors import InvalidTimestep
 if TYPE_CHECKING:
     from .matcher import Detection
 
-DEFAULT_SIGMA = 0.4
-
 
 class AxisState(NamedTuple):
     """One image axis of the filter: position, velocity and their covariance
@@ -46,7 +44,7 @@ class TrackState:
 
     x_axis: AxisState
     y_axis: AxisState
-    sigma: float = DEFAULT_SIGMA
+    sigma: float
     last_time: float = 0.0
 
     @property
@@ -142,8 +140,8 @@ def build_noise(dt: float, sigma: float) -> NoiseModel:
     return NoiseModel(A=A, Q=Q)
 
 
-def init(detection: "Detection", t0: float, sigma: float = DEFAULT_SIGMA,
-         p0_pos: float = 4.0, p0_vel: float = 25.0) -> TrackState:
+def init(detection: "Detection", t0: float, sigma: float, p0_pos: float,
+         p0_vel: float) -> TrackState:
     """Start a track at a detection with zero velocity, and on each axis
     position variance ``p0_pos``, velocity variance ``p0_vel`` and no
     covariance between them."""

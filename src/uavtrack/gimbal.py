@@ -1,6 +1,6 @@
 """Simulated pan/tilt pointing: pixel errors to motor counts to motion.
 
-Commands are integer motor counts (100 microradians per count by default).
+Commands are integer motor counts of ``count_resolution`` radians each.
 Each step applies the commanded angle subject to a slew-rate limit and the
 mechanical pan/tilt range; the controller sends the full measured pixel
 offset every frame and holds position on frames with no detection.
@@ -8,16 +8,11 @@ offset every frame and holds position on frames with no detection.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, replace
 from typing import TYPE_CHECKING
 
 if TYPE_CHECKING:
     from .config import TrackerConfig
-
-COUNT_RESOLUTION_RAD = 1e-4
-DEFAULT_LIMIT_RAD = math.radians(15.0)
-DEFAULT_MAX_RATE = 0.02  # rad/s
 
 
 @dataclass(frozen=True)
@@ -50,12 +45,12 @@ class GimbalState:
     limit.
     """
 
+    pan_limit: float
+    tilt_limit: float
+    max_rate: float  # rad/s
+    count_resolution: float  # rad per motor count
     pan: float = 0.0
     tilt: float = 0.0
-    pan_limit: float = DEFAULT_LIMIT_RAD
-    tilt_limit: float = DEFAULT_LIMIT_RAD
-    max_rate: float = DEFAULT_MAX_RATE
-    count_resolution: float = COUNT_RESOLUTION_RAD
     saturated: bool = False
 
 

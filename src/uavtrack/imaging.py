@@ -228,24 +228,14 @@ def warp_geometry(height: int, width: int, alpha_deg: float) -> WarpGeometry:
                         fx=fx, fy=fy, inside=inside)
 
 
-def warp_raster(pixels: np.ndarray, alpha_deg: float, fill: float) -> np.ndarray:
-    """Rotate a raster clockwise by ``alpha_deg`` onto its rotation canvas.
-
-    See ``warp_geometry`` for the sampling; destination pixels whose
-    source sample falls outside the raster take ``fill``.
-    """
-    src = np.asarray(pixels, dtype=np.float64)
-    return warp_geometry(*src.shape, alpha_deg).apply(src, fill)
-
-
 def warp_rotate(patch: Patch, alpha_deg: float) -> Patch:
     """Rotate a patch clockwise by ``alpha_deg`` degrees onto the bank canvas.
 
-    Out-of-support canvas pixels take the source patch mean so they carry
-    roughly zero weight in zero-mean correlation.
+    See ``warp_geometry`` for the sampling. Out-of-support canvas pixels
+    take the source patch mean so they carry roughly zero weight in
+    zero-mean correlation.
     """
-    out = warp_raster(patch.pixels, alpha_deg, fill=patch.mean)
-    return Patch(out)
+    return Patch(warp_geometry(*patch.pixels.shape, alpha_deg).apply(patch.pixels, patch.mean))
 
 
 def build_template_bank(patch: Patch) -> TemplateBank:

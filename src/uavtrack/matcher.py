@@ -147,15 +147,17 @@ def zmncc_oracle(frame_region: np.ndarray, template: Patch,
         raise WindowTooSmall(
             f"placement {placement} puts a {tw}x{th} template outside the region")
     window = region[v:v + th, u:u + tw]
-    if float(window.max()) == float(window.min()):
+    # The reductions that max/min/mean/sum call, without their argument handling.
+    if float(np.maximum.reduce(window, axis=None)) == float(np.minimum.reduce(window, axis=None)):
         raise UndefinedScore("window under the template is constant")
     if template.is_constant:
         raise UndefinedScore("template is constant")
-    wm = window.mean()
-    tzm = template.pixels - template.pixels.mean()
-    wzm = window - wm
-    num = float(np.sum(wzm * tzm))
-    den = math.sqrt(float(np.sum(wzm * wzm)) * float(np.sum(tzm * tzm)))
+    t = template.pixels
+    tzm = t - np.add.reduce(t, axis=None) / t.size
+    wzm = window - np.add.reduce(window, axis=None) / window.size
+    num = float(np.add.reduce(wzm * tzm, axis=None))
+    den = math.sqrt(float(np.add.reduce(wzm * wzm, axis=None))
+                    * float(np.add.reduce(tzm * tzm, axis=None)))
     return num / den
 
 
@@ -198,31 +200,27 @@ class WindowStats:
         self.g = g
         self.energy = np.maximum(win_sq - win_sum * win_sum / (th * tw), 0.0)
         self.defined = self.energy > _FLAT_ENERGY_TOL
-        self._placements: Optional[np.ndarray] = None
-        self._spectrum: Optional[np.ndarray] = None
 
+    @functools.cached_property
     def placements(self) -> np.ndarray:
         """Every placement's pixels as one row of a C-contiguous
         ``(placements, template area)`` matrix, in row-major placement order."""
-        if self._placements is None:
-            th, tw = self.shape
-            wh, ww = self.energy.shape
-            g = self.g  # C-contiguous, so its buffer backs a strided view
-            view = np.ndarray((wh, ww, th, tw), g.dtype, g, 0, g.strides * 2)
-            view.flags.writeable = False
-            self._placements = view.reshape(-1, th * tw)  # copies the strided view
-        return self._placements
+        th, tw = self.shape
+        wh, ww = self.energy.shape
+        g = self.g  # C-contiguous, so its buffer backs a strided view
+        view = np.ndarray((wh, ww, th, tw), g.dtype, g, 0, g.strides * 2)
+        view.flags.writeable = False
+        return view.reshape(-1, th * tw)  # copies the strided view
 
     @functools.cached_property
     def fft_shape(self) -> tuple[int, int]:
         """Padded FFT size: the region's sides rounded up to 5-smooth lengths."""
         return (_fast_len(self.g.shape[0]), _fast_len(self.g.shape[1]))
 
+    @functools.cached_property
     def spectrum(self) -> np.ndarray:
         """``rfft2`` of the centred region, zero-padded to ``fft_shape``."""
-        if self._spectrum is None:
-            self._spectrum = np.fft.rfft2(self.g, self.fft_shape)
-        return self._spectrum
+        return np.fft.rfft2(self.g, self.fft_shape)
 
     def normalize(self, num: np.ndarray, template: Patch) -> CorrelationMap:
         """Score map from a zero-mean numerator over this window's placements."""
@@ -268,7 +266,7 @@ def _direct_numerator(stats: WindowStats, tzm: np.ndarray) -> np.ndarray:
     window's shared placement matrix times the flattened template."""
     th, tw = tzm.shape
     wh, ww = stats.energy.shape
-    return np.dot(stats.placements(), tzm.reshape(th * tw, 1)).reshape(wh, ww)
+    return np.dot(stats.placements, tzm.reshape(th * tw, 1)).reshape(wh, ww)
 
 
 def _fft_numerator(stats: WindowStats, tzm: np.ndarray) -> np.ndarray:
@@ -278,7 +276,7 @@ def _fft_numerator(stats: WindowStats, tzm: np.ndarray) -> np.ndarray:
     wrap around.
     """
     wh, ww = stats.energy.shape
-    spec = stats.spectrum() * np.conj(np.fft.rfft2(tzm, stats.fft_shape))
+    spec = stats.spectrum * np.conj(np.fft.rfft2(tzm, stats.fft_shape))
     return np.fft.irfft2(spec, stats.fft_shape)[:wh, :ww]
 
 

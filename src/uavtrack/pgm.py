@@ -101,7 +101,7 @@ def write_sequence(dirpath: str, frames: Iterable[Frame]) -> None:
         write(frame)
 
 
-def load_sequence(dirpath: str, fps: float = 25.0) -> Iterator[Frame]:
+def load_sequence(dirpath: str, fps: float) -> Iterator[Frame]:
     """Stream a PGM sequence in index order, one frame per step.
 
     Without a sidecar, frame N is at N / fps, so a gap in the indices is a

@@ -13,6 +13,7 @@ Scenario positions are given in frame coordinates of the unshifted
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 import re
 from dataclasses import dataclass, field
@@ -185,12 +186,15 @@ class _Samples(NamedTuple):
 def _sample(s: Scenario) -> _Samples:
     """Every frame's schedule values, one ``np.interp`` per schedule component,
     checked to have breakpoints at strictly increasing times, to be finite and
-    to keep the sprite canvas in the frame while in view."""
+    to keep the sprite canvas in the frame while in view, with every dropout
+    span finite and ending after it starts."""
     side = rotation_canvas_side(s.sprite_width, s.sprite_height)
     if side > min(s.width, s.height):
         raise InvalidScenario(f"sprite canvas {side} exceeds frame {s.width}x{s.height}")
     t = np.arange(s.n_frames) / s.fps
     spans = np.array(s.dropouts, dtype=np.float64).reshape(-1, 2)
+    if not (np.isfinite(spans).all() and (spans[:, 0] < spans[:, 1]).all()):
+        raise InvalidScenario("dropout spans need finite bounds and end > start")
     hidden = ((spans[:, :1] <= t) & (t < spans[:, 1:])).any(axis=0)
 
     def interp(name: str) -> list[np.ndarray]:
@@ -351,15 +355,15 @@ def run_closed_loop(scenario: Scenario, cfg: TrackerConfig | None = None,
     renderer = SceneRenderer(scenario)
     s = scenario
     gimbal = gim.Gimbal(cfg, s.width, s.height, s.fps)
-    frame0, truth0 = renderer.render(0, gimbal.viewport())
+    # Lazy: frame k is rendered at the viewport left by frame k-1's gimbal step.
+    source = (renderer.render(k, gimbal.viewport()) for k in range(s.n_frames))
+    first = next(source)
+    frame0, truth0 = first
     if not truth0.visible:
         raise InvalidScenario("target must be visible at frame 0 to select a template")
     tracker = Tracker(cfg, frame_size=(s.width, s.height))
     tracker.select(frame0, renderer.target_rect_frame0())
-
-    # Lazy: frame k is rendered at the viewport left by frame k-1's gimbal step.
-    source = (renderer.render(k, gimbal.viewport()) for k in range(s.n_frames))
-    records = list(track_frames(tracker, source, gimbal, frame_sink))
+    records = list(track_frames(tracker, itertools.chain([first], source), gimbal, frame_sink))
     return TrackReport(records=records, canvas=tracker.canvas)
 
 

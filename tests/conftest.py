@@ -5,7 +5,9 @@ import numpy as np
 import pytest
 from hypothesis import strategies as st
 
+from uavtrack.config import TrackerConfig
 from uavtrack.estimator import SearchWindow
+from uavtrack.gimbal import GimbalState
 from uavtrack.imaging import rotation_canvas_side
 from uavtrack.simulator import SceneRenderer, load_scenario
 
@@ -17,6 +19,15 @@ def window(x0, y0, x1, y1) -> SearchWindow:
     return SearchWindow(center=((x0 + x1) / 2.0, (y0 + y1) / 2.0),
                         half_width=(x1 - x0) / 2.0, half_height=(y1 - y0) / 2.0,
                         clamped=False, x0=x0, y0=y0, x1=x1, y1=y1)
+
+
+def gimbal_state(**overrides) -> GimbalState:
+    """A gimbal state with the default configuration's limits, rate and
+    count resolution, unless ``overrides`` gives them."""
+    cfg = TrackerConfig()
+    return GimbalState(**{"pan_limit": cfg.pan_limit, "tilt_limit": cfg.tilt_limit,
+                          "max_rate": cfg.gimbal_max_rate,
+                          "count_resolution": cfg.count_resolution, **overrides})
 
 
 def standard_scenario(name: str):

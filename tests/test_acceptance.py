@@ -118,7 +118,8 @@ def test_criterion_4_ekf_analytics():
         want[0, 2] = want[2, 0] = want[1, 3] = want[3, 1] = b
         exact_ok = exact_ok and np.array_equal(q, want)
 
-    st = init(Detection((100, 100), 0.95, 0, 0), 0.0)
+    cfg = TrackerConfig()
+    st = init(Detection((100, 100), 0.95, 0, 0), 0.0, cfg.sigma, cfg.p0_pos, cfg.p0_vel)
     t = 0.0
     sym_ok = psd_ok = True
     for _ in range(10_000):
@@ -157,30 +158,32 @@ def test_criterion_5_window_dynamics(benign_report, dropout_report):
 
 
 def test_criterion_6_throughput_ordering():
-    result = run_benchmark(TrackerConfig(), DEFAULT_BENCH_SIZES, n_frames=600)
-    fps = [r.fps for r in result.rows]
-    areas = [r.area for r in result.rows]
+    rows = run_benchmark(TrackerConfig(), DEFAULT_BENCH_SIZES, n_frames=600)
+    fps = [r.fps for r in rows]
+    areas = [r.area for r in rows]
     label = ", ".join(f"{r.patch_width}x{r.patch_height}={r.fps:.1f}fps"
-                      for r in result.rows)
+                      for r in rows)
     with criterion(6, f"throughput strictly decreases with patch area and "
                       f"stays >= 25 fps on 640x480 ({label})"):
         assert areas == sorted(areas)
         assert all(a > b for a, b in zip(fps, fps[1:]))
         assert min(fps) >= 25.0
-        assert all(r.frames >= 500 for r in result.rows)
+        assert all(r.frames >= 500 for r in rows)
 
 
 def test_criterion_7_gimbal_centering():
     scn = standard_scenario("centering")
     rep = simulator.run_closed_loop(scn)
-    gimbal = Gimbal(TrackerConfig(), scn.width, scn.height, scn.fps)
+    cfg = TrackerConfig()
+    gimbal = Gimbal(cfg, scn.width, scn.height, scn.fps)
     count_px = gimbal.state.count_resolution / gimbal.cam.rad_per_px_x
     center = gimbal.center
     tail = [r for r in rep.records[-50:] if r.detected]
     steady = max(math.hypot(r.x - center[0], r.y - center[1]) for r in tail)
 
     rng = np.random.default_rng(77)
-    g = GimbalState(max_rate=5.0)
+    g = GimbalState(pan_limit=cfg.pan_limit, tilt_limit=cfg.tilt_limit, max_rate=5.0,
+                    count_resolution=cfg.count_resolution)
     limits_ok = True
     for _ in range(5000):
         counts = (int(rng.integers(-30000, 30000)), int(rng.integers(-30000, 30000)))

@@ -4,7 +4,7 @@ import os
 import pytest
 
 from conftest import render_open_loop, standard_scenario
-from uavtrack import pgm, simulator
+from uavtrack import cli, pgm, simulator
 from uavtrack.cli import REPORT_COLUMNS, TRACK_COLUMNS, main
 from uavtrack.errors import DimensionMismatch
 from uavtrack.imaging import Frame
@@ -188,7 +188,7 @@ class TestSimulateCommand:
 
     def test_export_round_trips_through_loader(self, exported):
         _, _, seq = exported
-        frames = list(pgm.load_sequence(str(seq)))
+        frames = list(pgm.load_sequence(str(seq), fps=TrackerConfig().fps))
         assert len(frames) == 100
         assert frames[0].pixels.max() <= 255.0
 
@@ -204,6 +204,15 @@ class TestBenchmarkCommand:
         assert len(rows) == 1
         assert int(rows[0]["frames"]) >= 500
         assert float(rows[0]["fps"]) > 0
+
+    def test_clip_frames_built_once_per_track(self, monkeypatch):
+        clip = cli._Clip.render(20, 22, n_frames=6)
+        calls = []
+        frames = cli._Clip.frames
+        monkeypatch.setattr(cli._Clip, "frames", lambda self: calls.append(1) or frames(self))
+        records = list(clip.track(TrackerConfig()))
+        assert calls == [1]
+        assert [r.frame_index for r in records] == list(range(6))
 
     def test_bad_sizes_exit_2(self):
         assert main(["benchmark", "--sizes", "2x2"]) == 2

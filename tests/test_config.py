@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from conftest import SCENARIOS
-from uavtrack.config import CONFIG_ENV_VAR, ConfigError, TrackerConfig, resolve_config
+from uavtrack.config import CONFIG_ENV_VAR, ConfigError, TrackerConfig, kv_text, resolve_config
 
 
 def test_defaults_match_tuned_values():
@@ -18,9 +18,9 @@ def test_defaults_match_tuned_values():
 
 def test_round_trip_identity():
     cfg = TrackerConfig(zmncc_threshold=0.85, sigma=0.31, hfov_deg=52.5, fps=30.0)
-    once = TrackerConfig.from_text(cfg.to_text())
+    once = TrackerConfig.from_text(kv_text("configuration", cfg))
     assert once == cfg
-    assert TrackerConfig.from_text(once.to_text()) == once
+    assert TrackerConfig.from_text(kv_text("configuration", once)) == once
 
 
 def configs():
@@ -35,7 +35,7 @@ def configs():
 @settings(max_examples=200)
 @given(configs())
 def test_round_trip_property(cfg):
-    assert TrackerConfig.from_text(cfg.to_text()) == cfg
+    assert TrackerConfig.from_text(kv_text("configuration", cfg)) == cfg
 
 
 def test_partial_file_keeps_defaults():
@@ -94,7 +94,7 @@ def test_shipped_default_config_lists_every_default():
     path = os.path.join(SCENARIOS, "default.cfg")
     assert TrackerConfig.from_file(path) == TrackerConfig()
     with open(path) as f:
-        assert TrackerConfig().to_text() == f.read()
+        assert kv_text("configuration", TrackerConfig()) == f.read()
 
 
 def test_resolve_precedence(tmp_path, monkeypatch):

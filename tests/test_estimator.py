@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from uavtrack.config import TrackerConfig
 from uavtrack.errors import InvalidTimestep
 from uavtrack.estimator import (
     AxisState, TrackState, build_noise, correct, init, predict, search_window,
@@ -9,8 +10,17 @@ from uavtrack.estimator import (
 from uavtrack.matcher import Detection
 
 
+CFG = TrackerConfig()
+
+
 def det(x, y):
     return Detection(position=(x, y), score=0.95, template_index=0, frame_index=0)
+
+
+def start(detection, t0):
+    """A track started at ``detection`` with the default configuration's
+    noise and initial variances."""
+    return init(detection, t0, CFG.sigma, CFG.p0_pos, CFG.p0_vel)
 
 
 def diag_state(x, p_diag, last_time=0.0):
@@ -18,7 +28,8 @@ def diag_state(x, p_diag, last_time=0.0):
     px, py, vx, vy = (float(c) for c in x)
     ppx, ppy, vvx, vvy = (float(c) for c in p_diag)
     return TrackState(x_axis=AxisState(px, vx, ppx, 0.0, vvx),
-                      y_axis=AxisState(py, vy, ppy, 0.0, vvy), last_time=last_time)
+                      y_axis=AxisState(py, vy, ppy, 0.0, vvy), sigma=CFG.sigma,
+                      last_time=last_time)
 
 
 def reference_q(dt, s):
@@ -68,18 +79,18 @@ class TestBuildNoise:
 
 class TestInit:
     def test_state_from_detection(self):
-        st = init(det(100, 50), t0=2.0)
+        st = start(det(100, 50), 2.0)
         assert np.array_equal(st.x, [100.0, 50.0, 0.0, 0.0])
         assert st.last_time == 2.0
 
     def test_deterministic(self):
-        a, b = init(det(7, 9), 1.0), init(det(7, 9), 1.0)
+        a, b = start(det(7, 9), 1.0), start(det(7, 9), 1.0)
         assert np.array_equal(a.x, b.x) and np.array_equal(a.P, b.P)
 
 
 class TestPredictCorrect:
     def test_zero_velocity_holds_position(self):
-        st = init(det(10, 10), 0.0)
+        st = start(det(10, 10), 0.0)
         assert predict(st, 3.7).position == (10.0, 10.0)
 
     def test_linear_propagation(self):
@@ -87,21 +98,21 @@ class TestPredictCorrect:
         assert predict(st, 0.5).position == (11.0, 9.5)
 
     def test_covariance_grows_on_predict(self):
-        st = init(det(0, 0), 0.0)
+        st = start(det(0, 0), 0.0)
         assert np.trace(predict(st, 1.0).P) > np.trace(st.P)
 
     def test_non_monotone_time_rejected(self):
-        st = init(det(0, 0), 5.0)
+        st = start(det(0, 0), 5.0)
         with pytest.raises(InvalidTimestep):
             predict(st, 5.0)
 
     @pytest.mark.parametrize("t", [np.nan, np.inf])
     def test_non_finite_time_rejected(self, t):
         with pytest.raises(InvalidTimestep):
-            predict(init(det(0, 0), 5.0), t)
+            predict(start(det(0, 0), 5.0), t)
 
     def test_zero_innovation_keeps_position_shrinks_p(self):
-        pred = predict(init(det(40, 60), 0.0), 1.0)
+        pred = predict(start(det(40, 60), 0.0), 1.0)
         upd = correct(pred, pred.position)
         assert upd.position == pred.position
         assert upd.P[0, 0] < pred.P[0, 0] and upd.P[1, 1] < pred.P[1, 1]
@@ -120,7 +131,7 @@ class TestPredictCorrect:
             assert upd.P[0, 0] == pytest.approx(p / (p + 1.0), abs=1e-12)
 
     def test_position_variance_never_grows_on_correct(self, rng):
-        st = init(det(0, 0), 0.0)
+        st = start(det(0, 0), 0.0)
         t = 0.0
         for _ in range(200):
             t += float(rng.uniform(0.01, 0.5))
@@ -139,7 +150,7 @@ class TestMissAndWindow:
         assert not win.clamped
 
     def test_window_growth_is_monotone_under_misses(self):
-        st = init(det(160, 120), 0.0)
+        st = start(det(160, 120), 0.0)
         st = correct(predict(st, 0.04), (160.0, 120.0))
         halves = []
         t = 0.04
@@ -151,7 +162,7 @@ class TestMissAndWindow:
         assert all(b[0] >= a[0] and b[1] >= a[1] for a, b in zip(halves, halves[1:]))
 
     def test_correction_shrinks_window_after_miss(self):
-        st = init(det(160, 120), 0.0)
+        st = start(det(160, 120), 0.0)
         st = predict(st, 1.0)
         before = search_window(st, (43, 43), (320, 240))
         st2 = correct(st, st.position)
@@ -173,7 +184,7 @@ class TestMissAndWindow:
 
 class TestLongRunProperties:
     def test_p_stays_symmetric_psd(self, rng):
-        st = init(det(100, 100), 0.0)
+        st = start(det(100, 100), 0.0)
         t = 0.0
         for _ in range(2000):
             t += float(rng.uniform(0.005, 1.0))
@@ -186,7 +197,7 @@ class TestLongRunProperties:
 
     def test_filter_beats_raw_measurements(self, rng):
         truth = np.array([50.0, 50.0])
-        st = init(det(50, 50), 0.0)
+        st = start(det(50, 50), 0.0)
         t = 0.0
         raw_se, filt_se = [], []
         for k in range(3000):
@@ -202,7 +213,7 @@ class TestLongRunProperties:
         zs = [(100 + rng.normal(), 100 + rng.normal()) for _ in range(50)]
 
         def run():
-            st = init(det(100, 100), 0.0)
+            st = start(det(100, 100), 0.0)
             out = []
             for k, z in enumerate(zs, start=1):
                 st = correct(predict(st, float(k)), z)

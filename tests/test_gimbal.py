@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from conftest import gimbal_state
 from uavtrack.config import TrackerConfig
 from uavtrack.gimbal import (
     CameraModel, Gimbal, GimbalState, centering_step, pixel_error_to_counts,
@@ -21,15 +22,15 @@ def det(x, y):
 
 class TestCounts:
     def test_zero_error_zero_counts(self):
-        assert pixel_error_to_counts((0.0, 0.0), CAM, GimbalState()) == (0, 0)
+        assert pixel_error_to_counts((0.0, 0.0), CAM, gimbal_state()) == (0, 0)
 
     def test_ten_millirad_is_hundred_counts(self):
         err_px = 0.01 / CAM.rad_per_px_x
-        counts = pixel_error_to_counts((err_px, 0.0), CAM, GimbalState())
+        counts = pixel_error_to_counts((err_px, 0.0), CAM, gimbal_state())
         assert counts == (100, 0)
 
     def test_matches_scalar_oracle(self, rng):
-        g = GimbalState()
+        g = gimbal_state()
         for _ in range(50):
             ex, ey = rng.uniform(-200, 200, 2)
             want = (int(round(ex * CAM.rad_per_px_x / g.count_resolution)),
@@ -39,25 +40,25 @@ class TestCounts:
 
 class TestStep:
     def test_small_command_moves_exactly(self):
-        g = step_gimbal(GimbalState(), (50, -30), dt=1.0)
+        g = step_gimbal(gimbal_state(), (50, -30), dt=1.0)
         assert g.pan == pytest.approx(50 * 1e-4)
         assert g.tilt == pytest.approx(-30 * 1e-4)
         assert not g.saturated
 
     def test_rate_saturation(self):
-        g0 = GimbalState(max_rate=0.02)
+        g0 = gimbal_state(max_rate=0.02)
         g = step_gimbal(g0, (10000, 0), dt=0.04)
         assert g.pan == pytest.approx(0.02 * 0.04)
         assert g.saturated
 
     def test_range_saturation_holds_at_limit(self):
-        g0 = GimbalState(pan=math.radians(15.0), max_rate=100.0)
+        g0 = gimbal_state(pan=math.radians(15.0), max_rate=100.0)
         g = step_gimbal(g0, (10, 0), dt=1.0)
         assert g.pan == g0.pan
         assert g.saturated
 
     def test_deadband_below_half_count(self):
-        g0 = GimbalState()
+        g0 = gimbal_state()
         half_count_px = 0.5 * g0.count_resolution / CAM.rad_per_px_x
         counts = pixel_error_to_counts((0.9 * half_count_px, 0.0), CAM, g0)
         assert counts == (0, 0)
@@ -65,26 +66,26 @@ class TestStep:
 
     def test_rejects_bad_dt(self):
         with pytest.raises(ValueError):
-            step_gimbal(GimbalState(), (0, 0), 0.0)
+            step_gimbal(gimbal_state(), (0, 0), 0.0)
 
 
 class TestCentering:
     def test_holds_without_detection(self):
-        g0 = GimbalState(pan=0.01, tilt=-0.02)
+        g0 = gimbal_state(pan=0.01, tilt=-0.02)
         g, counts = centering_step(None, (159.5, 119.5), CAM, g0, 0.04)
         assert (g.pan, g.tilt) == (g0.pan, g0.tilt)
         assert counts == (0, 0)
 
     def test_centered_detection_is_noop(self):
         g, counts = centering_step(det(160, 120), (160.0, 120.0), CAM,
-                                   GimbalState(), 0.04)
+                                   gimbal_state(), 0.04)
         assert g.pan == 0.0 and g.tilt == 0.0 and counts == (0, 0)
 
     def test_synthetic_loop_converges(self):
         # static point target; apparent position = world - viewport shift
         world = np.array([220.0, 150.0])
         center = (159.5, 119.5)
-        g = GimbalState()
+        g = gimbal_state()
         err = None
         for _ in range(400):
             off = viewport_offset_px(g, CAM)
@@ -96,7 +97,7 @@ class TestCentering:
         assert math.hypot(*err) <= 1.0 + count_px
 
     def test_limits_never_exceeded_under_fuzzing(self, rng):
-        g = GimbalState(max_rate=5.0)
+        g = gimbal_state(max_rate=5.0)
         for _ in range(2000):
             counts = tuple(int(c) for c in rng.integers(-20000, 20000, 2))
             g = step_gimbal(g, counts, dt=float(rng.uniform(0.01, 0.5)))

@@ -6,7 +6,7 @@ from conftest import gather_warp, headings
 from uavtrack.errors import DimensionMismatch, NonDiscriminativeTemplate, OutOfBounds
 from uavtrack.imaging import (
     BANK_SIZE, Frame, Patch, build_template_bank, extract_patch,
-    rotation_canvas_side, warp_geometry, warp_raster, warp_rotate,
+    rotation_canvas_side, warp_geometry, warp_rotate,
 )
 
 
@@ -138,7 +138,7 @@ class TestWarp:
 
     def test_explicit_fill_value(self, rng):
         a = rng.uniform(0, 255, (6, 6))
-        out = warp_raster(a, 45.0, fill=-1.0)
+        out = warp_geometry(*a.shape, 45.0).apply(a, -1.0)
         assert (out == -1.0).any()
 
 
@@ -148,7 +148,6 @@ class TestWarpGeometry:
     def test_equals_gather_warp(self, h, w, alpha, seed):
         src = np.random.default_rng(seed).uniform(0.0, 255.0, (h, w))
         want = gather_warp(src, alpha, fill=-3.5)
-        assert np.array_equal(warp_raster(src, alpha, fill=-3.5), want)
         geometry = warp_geometry(h, w, alpha)
         assert np.array_equal(geometry.apply(src, -3.5), want)
         # The bilinear weights sum to exactly 1.0, so warping an all-ones

@@ -8,7 +8,7 @@ from conftest import window
 from uavtrack import estimator, matcher, simulator
 from uavtrack.errors import UndefinedScore, WindowTooSmall
 from uavtrack.imaging import (
-    Frame, Patch, TemplateBank, build_template_bank, extract_patch, warp_raster,
+    Frame, Patch, TemplateBank, build_template_bank, extract_patch, warp_rotate,
 )
 from uavtrack.matcher import (
     SchedulerState, WindowStats, _direct_numerator, _fast_len, _fft_numerator,
@@ -119,7 +119,7 @@ def planted_bank_and_frame(rng, heading=0.0):
     bank = build_template_bank(Patch(sprite))
     side = bank.canvas[0]
     pixels = 105.0 + 8.0 * simulator.value_noise(rng, 90, 90, 5)
-    canvas = warp_raster(sprite, heading, fill=float(sprite.mean()))
+    canvas = warp_rotate(Patch(sprite), heading).pixels
     pixels[30:30 + side, 25:25 + side] = canvas
     return bank, Frame(np.clip(pixels, 0, 255)), (25, 30)
 
@@ -297,9 +297,9 @@ class TestPlacementMatrix:
         stats = WindowStats(frame, win, shape)
         assert stats.energy.size * first.pixels.size <= matcher._DIRECT_MAX_MACS
         zmncc_fast(frame, first, win, stats)
-        m = stats.placements()
+        m = stats.placements
         shared = zmncc_fast(frame, second, win, stats)
-        assert stats.placements() is m  # one copy per WindowStats
+        assert stats.placements is m  # one copy per WindowStats
         assert m.shape == (stats.energy.size, 13 * 11) and m.flags.c_contiguous
         assert not np.shares_memory(m, stats.g)
         fresh = zmncc_fast(frame, second, win)

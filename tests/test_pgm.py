@@ -63,7 +63,7 @@ class TestSequences:
     def test_round_trip_with_sidecar(self, tmp_path, rng):
         frames = self._frames(rng)
         pgm.write_sequence(str(tmp_path), frames)
-        loaded = list(pgm.load_sequence(str(tmp_path)))
+        loaded = list(pgm.load_sequence(str(tmp_path), fps=25.0))
         assert len(loaded) == len(frames)
         for a, b in zip(frames, loaded):
             assert np.array_equal(a.pixels, b.pixels)
@@ -110,14 +110,14 @@ class TestSequences:
 
     def test_empty_dir_rejected(self, tmp_path):
         with pytest.raises(ValueError):
-            pgm.load_sequence(str(tmp_path))
+            pgm.load_sequence(str(tmp_path), fps=25.0)
 
     def test_non_monotone_timestamps_rejected(self, tmp_path, rng):
         frames = self._frames(rng, n=3)
         pgm.write_sequence(str(tmp_path), frames)
         (tmp_path / pgm.TIMESTAMP_SIDECAR).write_text("0.0\n0.2\n0.2\n")
         with pytest.raises(ValueError):
-            pgm.load_sequence(str(tmp_path))
+            pgm.load_sequence(str(tmp_path), fps=25.0)
 
     @pytest.mark.parametrize("bad", ["nan", "inf", "-inf"])
     def test_non_finite_timestamp_rejected(self, tmp_path, rng, bad):
@@ -125,27 +125,27 @@ class TestSequences:
         pgm.write_sequence(str(tmp_path), frames)
         (tmp_path / pgm.TIMESTAMP_SIDECAR).write_text(f"0.0\n{bad}\n0.2\n")
         with pytest.raises(ValueError, match="finite"):
-            pgm.load_sequence(str(tmp_path))
+            pgm.load_sequence(str(tmp_path), fps=25.0)
 
     def test_non_numeric_timestamp_names_sidecar_line(self, tmp_path, rng):
         pgm.write_sequence(str(tmp_path), self._frames(rng, n=3))
         (tmp_path / pgm.TIMESTAMP_SIDECAR).write_text("0.0\n\n0.1s\n0.2\n")
         with pytest.raises(ValueError, match=r"timestamps\.txt:3: cannot parse '0\.1s'"):
-            pgm.load_sequence(str(tmp_path))
+            pgm.load_sequence(str(tmp_path), fps=25.0)
 
     def test_sidecar_length_mismatch(self, tmp_path, rng):
         frames = self._frames(rng, n=3)
         pgm.write_sequence(str(tmp_path), frames)
         (tmp_path / pgm.TIMESTAMP_SIDECAR).write_text("0.0\n0.1\n")
         with pytest.raises(ValueError):
-            pgm.load_sequence(str(tmp_path))
+            pgm.load_sequence(str(tmp_path), fps=25.0)
 
     def test_no_frame_read_before_iteration(self, tmp_path, rng, monkeypatch):
         pgm.write_sequence(str(tmp_path), self._frames(rng))
         reads = []
         real = pgm.read_pgm
         monkeypatch.setattr(pgm, "read_pgm", lambda path: reads.append(path) or real(path))
-        frames = pgm.load_sequence(str(tmp_path))
+        frames = pgm.load_sequence(str(tmp_path), fps=25.0)
         assert reads == []
         next(frames)
         assert len(reads) == 1
@@ -157,5 +157,5 @@ class TestSequences:
         reads = []
         monkeypatch.setattr(pgm, "read_pgm", reads.append)
         with pytest.raises(ValueError):
-            pgm.load_sequence(str(tmp_path))
+            pgm.load_sequence(str(tmp_path), fps=25.0)
         assert reads == []

@@ -5,11 +5,12 @@ import numpy as np
 import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
-from conftest import gather_warp, headings, render_open_loop, standard_scenario, window
+from conftest import (
+    gather_warp, gimbal_state, headings, render_open_loop, standard_scenario, window,
+)
 from uavtrack import simulator
 from uavtrack.config import ConfigError
 from uavtrack.errors import InvalidScenario
-from uavtrack.gimbal import GimbalState
 from uavtrack.imaging import Patch, extract_patch, rotation_canvas_side
 from uavtrack.matcher import zmncc_fast
 from uavtrack.simulator import (
@@ -263,6 +264,12 @@ class TestValidation:
                            match=f"^{name} breakpoint times must strictly increase$"):
             small_scenario(**{name: points}).validate()
 
+    @pytest.mark.parametrize("span", [(1.0, 0.5), (0.5, 0.5), (math.nan, 1.0), (0.5, math.inf)])
+    def test_bad_dropout_span_rejected(self, span):
+        # Such a span would hide no frame, or every frame after its start.
+        with pytest.raises(InvalidScenario, match="dropout spans need finite bounds"):
+            small_scenario(dropouts=[(0.1, 0.2), span]).validate()
+
     @pytest.mark.parametrize("name", ["position", "heading", "gain", "offset"])
     def test_empty_schedule_rejected(self, name):
         with pytest.raises(InvalidScenario, match=f"{name} schedule is empty"):
@@ -425,6 +432,15 @@ class TestClosedLoop:
         err = sorted(math.hypot(r.x - r.truth_x, r.y - r.truth_y) for r in det)
         assert err[int(0.95 * len(err))] <= 3.0
 
+    def test_each_frame_rendered_once(self, monkeypatch):
+        calls = []
+        render = SceneRenderer.render
+        monkeypatch.setattr(SceneRenderer, "render",
+                            lambda self, k, *a: calls.append(k) or render(self, k, *a))
+        s = small_scenario(duration=0.5)
+        run_closed_loop(s)
+        assert calls == list(range(s.n_frames))
+
     def test_dropout_report_shape(self):
         rep = run_closed_loop(standard_scenario("dropout"))
         hidden = [r for r in rep.records if not r.truth_visible]
@@ -446,7 +462,7 @@ class TestFrameLoop:
                 events.append(("process", frame))
                 return TrackStep(frame, 0.1 * frame, None, (0, 0, 4, 4), 2.0, 2.0, 1)
 
-            state = GimbalState()
+            state = gimbal_state()
             counts = (0, 0)
 
             def step(self, detection):
