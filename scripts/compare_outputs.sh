@@ -12,10 +12,13 @@
 #     runs the config reader: the same CSVs;
 #   - `simulate --export` of a quantized copy of dropout.txt: the same
 #     CSVs, the exported PGM frames and their timestamps.txt;
+#   - `simulate` of a copy of benign.txt whose target is hidden at frame 0
+#     (`dropout=0.0-0.5`), which exits 2 before any frame is tracked;
 #   - `track --dump-frames` of that exported sequence from the copy's
 #     frame-0 target rectangle: track_log.csv and the annotated PGM frames;
-#   - `benchmark` of two small patch sizes over 40 frames: its CSV without
-#     the fps column, and no stdout, since both hold timings;
+#   - `benchmark` of two small patch sizes over 40 frames, which track the
+#     start of the 600-frame path: its CSV without the fps column, and no
+#     stdout, since both hold timings;
 # keeping every command's stdout, stderr and exit code unless noted. It then
 # compares the two result trees, without the input files, with `diff -r` and
 # exits 0 when they match, 1 when they differ and 2 on a usage error.
@@ -68,6 +71,9 @@ run_matrix() (
     uav simulate_benign_config simulate benign.txt --config default.cfg --out benign_config
     sed 's/^quantize=.*/quantize=1/' dropout.txt >dropout_quantized.txt
     uav simulate_quantized simulate dropout_quantized.txt --out quantized --export quantized/seq
+    sed '/^dropout=/d' benign.txt >benign_hidden.txt
+    echo "dropout=0.0-0.5" >>benign_hidden.txt
+    uav simulate_hidden simulate benign_hidden.txt --out hidden --export hidden/seq
     PYTHONPATH="$src/src" python3 -c '
 from uavtrack import simulator
 scenario = simulator.load_scenario("dropout_quantized.txt")
@@ -81,7 +87,7 @@ print(",".join(str(v) for v in simulator.SceneRenderer(scenario).target_rect_fra
     rm -f benchmark.stdout
     if [ -f bench.csv ]; then drop_column bench.csv fps; fi
     # The inputs are not outputs: the two checkouts' files may differ in comments.
-    rm -f benign.txt dropout.txt centering.txt default.cfg dropout_quantized.txt
+    rm -f benign.txt dropout.txt centering.txt default.cfg dropout_quantized.txt benign_hidden.txt
 )
 
 run_matrix "$parent" "$work/parent"

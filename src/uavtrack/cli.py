@@ -81,17 +81,15 @@ def cmd_track(args) -> int:
     roi = _parse_roi(args.roi)
     first = next(frames)
     tracker = Tracker(cfg, frame_size=(first.width, first.height))
-    tracker.select(first, roi)
 
     dump_dir = os.path.join(args.out, "frames") if args.dump_frames else None
-    if dump_dir:
-        os.makedirs(dump_dir, exist_ok=True)
     shown: list[Frame] = []  # the frame of the record being yielded, for --dump-frames
     source = ((frame, None) for frame in itertools.chain([first], frames))
     records = []
-    for record in track_frames(tracker, source, sink=shown.append if dump_dir else None):
+    for record in track_frames(tracker, source, roi, sink=shown.append if dump_dir else None):
         records.append(record)
-        if dump_dir:
+        if dump_dir:  # made after selection, so a bad --roi leaves no directory
+            os.makedirs(dump_dir, exist_ok=True)
             pgm.write_pgm(os.path.join(dump_dir, pgm.frame_filename(record.frame_index)),
                           annotate(shown.pop().pixels, record))
 
@@ -197,12 +195,8 @@ class _Clip:
     def track(self, cfg: TrackerConfig) -> Iterator[FrameRecord]:
         """Track the clip from its frame 0, stepping a gimbal."""
         s = self.scenario
-        tracker = Tracker(cfg, frame_size=(s.width, s.height))
-        frames = self.frames()
-        first = next(frames)
-        tracker.select(first[0], self.roi)
-        return track_frames(tracker, itertools.chain([first], frames),
-                            Gimbal(cfg, s.width, s.height, s.fps))
+        return track_frames(Tracker(cfg, frame_size=(s.width, s.height)), self.frames(),
+                            self.roi, Gimbal(cfg, s.width, s.height, s.fps))
 
 
 def run_benchmark(cfg: TrackerConfig, sizes: list[tuple[int, int]],

@@ -9,8 +9,7 @@ without correction, which grows the covariance and therefore the window.
 
 The model never couples x and y, so from a covariance with no cross-axis
 term the filter runs exactly as two independent (position, velocity) filters
-in scalar closed form (Bar-Shalom, Li & Kirubarajan 2001); ``TrackState.x``
-and ``TrackState.P`` give the 4-state view.
+in scalar closed form (Bar-Shalom, Li & Kirubarajan 2001).
 """
 
 from __future__ import annotations
@@ -18,8 +17,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, NamedTuple
-
-import numpy as np
 
 from .errors import InvalidTimestep
 
@@ -50,30 +47,6 @@ class TrackState:
     @property
     def position(self) -> tuple[float, float]:
         return (self.x_axis.pos, self.y_axis.pos)
-
-    @property
-    def x(self) -> np.ndarray:
-        """Mean vector [px, py, vx, vy]."""
-        return np.array([self.x_axis.pos, self.y_axis.pos,
-                         self.x_axis.vel, self.y_axis.vel])
-
-    @property
-    def P(self) -> np.ndarray:
-        """4x4 covariance in the order of ``x``; cross-axis terms are zero."""
-        P = np.zeros((4, 4))
-        for i, a in enumerate((self.x_axis, self.y_axis)):
-            P[i, i], P[i + 2, i + 2] = a.pp, a.vv
-            P[i, i + 2] = P[i + 2, i] = a.pv
-        return P
-
-
-@dataclass(frozen=True)
-class NoiseModel:
-    """Per-step matrices: process Jacobian A and process noise Q. The
-    measurement is the position with unit noise on each axis."""
-
-    A: np.ndarray
-    Q: np.ndarray
 
 
 @dataclass(frozen=True)
@@ -113,31 +86,15 @@ def full_frame_window(frame_width: int, frame_height: int) -> SearchWindow:
 
 
 def _noise_terms(dt: float, sigma: float) -> tuple[float, float, float]:
-    """One axis's process noise: var(pos), cov(pos, vel), var(vel)."""
+    """One axis's process noise Q for a step of ``dt`` seconds, from a single
+    noise scalar on every channel:
+        a = dt*sigma + (1/3)*dt^3*sigma   var(pos)
+        b = 0.5*dt^2*sigma                cov(pos, vel)
+        dt*sigma                          var(vel)
+    """
     return (dt * sigma + (1.0 / 3.0) * dt ** 3 * sigma,
             0.5 * dt ** 2 * sigma,
             dt * sigma)
-
-
-def build_noise(dt: float, sigma: float) -> NoiseModel:
-    """Process matrices for a step of ``dt`` seconds.
-
-    Q uses a single noise scalar on every channel:
-        a = dt*sigma + (1/3)*dt^3*sigma   (position diagonal)
-        b = 0.5*dt^2*sigma                (position/velocity coupling)
-        dt*sigma                          (velocity diagonal)
-    """
-    if not 0.0 < dt < math.inf:
-        raise InvalidTimestep(f"dt must be positive and finite, got {dt}")
-    A = np.eye(4)
-    A[0, 2] = dt
-    A[1, 3] = dt
-    a, b, v = _noise_terms(dt, sigma)
-    Q = np.array([[a, 0.0, b, 0.0],
-                  [0.0, a, 0.0, b],
-                  [b, 0.0, v, 0.0],
-                  [0.0, b, 0.0, v]])
-    return NoiseModel(A=A, Q=Q)
 
 
 def init(detection: "Detection", t0: float, sigma: float, p0_pos: float,

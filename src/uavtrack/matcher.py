@@ -97,40 +97,31 @@ class Detection:
     position: tuple[int, int]
     score: float
     template_index: int
-    frame_index: int
 
 
 @dataclass
 class SchedulerState:
     """Rotation-bank scheduling state; single-owner, mutated by ``detect``.
 
-    After a match at index k the next frame scans the paper's set
-    [k-2 .. k+4] (mod bank size) best-first: k, k-1, k+1, k-2, k+2, k+3,
-    k+4, so the template that matched last is tried first. After a miss
-    the next frame sweeps from one template after the start of the missed
-    frame's set, whose start is k-2 for a frame that followed a match. A
-    fresh tracker starts at template 0.
+    After a match at index k (``matched``) the next frame scans the paper's
+    set [k-2 .. k+4] (mod bank size) best-first: k, k-1, k+1, k-2, k+2, k+3,
+    k+4, so the template that matched last is tried first. After a full miss
+    it sweeps consecutive templates from ``sweep_start``: one template after
+    the start of the missed frame's set, which is k-2 after a match. A fresh
+    tracker sweeps from template 0.
     """
 
-    last_matched_index: Optional[int] = None
-    fallback_start_index: int = 0
-    last_frame_missed: bool = False
+    matched: Optional[int] = None
+    sweep_start: int = 0
     last_frame_evals: int = field(default=0, compare=False)
-
-    def start_index(self, bank_size: int) -> int:
-        if self.last_matched_index is not None and not self.last_frame_missed:
-            return (self.last_matched_index - 2) % bank_size
-        return self.fallback_start_index % bank_size
 
 
 def schedule_order(sched: SchedulerState, bank_size: int = 36) -> list[int]:
     """Template indices to try this frame, in order, at most ``TEMPLATE_BUDGET``."""
     n = min(TEMPLATE_BUDGET, bank_size)
-    if sched.last_matched_index is not None and not sched.last_frame_missed:
-        k = sched.last_matched_index
-        return [(k + d) % bank_size for d in _BEST_FIRST[:n]]
-    start = sched.start_index(bank_size)
-    return [(start + i) % bank_size for i in range(n)]
+    if sched.matched is not None:
+        return [(sched.matched + d) % bank_size for d in _BEST_FIRST[:n]]
+    return [(sched.sweep_start + i) % bank_size for i in range(n)]
 
 
 def zmncc_oracle(frame_region: np.ndarray, template: Patch,
@@ -329,14 +320,13 @@ def detect(frame: Frame, bank: TemplateBank, sched: SchedulerState,
     Stops at the first template whose map has any score >= threshold; the
     detection position is the centroid of that template's matching
     placements, reported at template-center coordinates. Returns None on a
-    full miss and advances the scheduler's fallback start. ``sched`` is
+    full miss and advances the scheduler's sweep start. ``sched`` is
     updated in place; ``sched.last_frame_evals`` counts the template maps
     evaluated this call.
     """
     if not 0.0 < threshold <= 1.0:
         raise ValueError(f"threshold must be in (0, 1], got {threshold}")
-    bank_size = bank.size
-    order = schedule_order(sched, bank_size)
+    order = schedule_order(sched, bank.size)
     tw, th = bank.canvas
     diag = math.hypot(tw, th)
 
@@ -355,13 +345,12 @@ def detect(frame: Frame, bank: TemplateBank, sched: SchedulerState,
             cmap.scores[vs, us], diag)
         px = int(round(cmap.x0 + cu + (tw - 1) / 2.0))
         py = int(round(cmap.y0 + cv + (th - 1) / 2.0))
-        sched.last_matched_index = index
-        sched.last_frame_missed = False
+        sched.matched = index
         sched.last_frame_evals = evals
-        return Detection(position=(px, py), score=best,
-                         template_index=index, frame_index=frame.frame_index)
+        return Detection(position=(px, py), score=best, template_index=index)
 
-    sched.fallback_start_index = (sched.start_index(bank_size) + 1) % bank_size
-    sched.last_frame_missed = True
+    start = sched.matched - 2 if sched.matched is not None else sched.sweep_start
+    sched.sweep_start = (start + 1) % bank.size
+    sched.matched = None
     sched.last_frame_evals = evals
     return None

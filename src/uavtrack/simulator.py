@@ -13,7 +13,6 @@ Scenario positions are given in frame coordinates of the unshifted
 from __future__ import annotations
 
 import functools
-import itertools
 import math
 import re
 from dataclasses import dataclass, field
@@ -86,6 +85,9 @@ class TruthRecord:
     offset: float
 
 
+FALSE_POSITIVE_DIAGONALS = 2.0
+
+
 @dataclass
 class TrackReport:
     records: list[FrameRecord]
@@ -97,10 +99,10 @@ class TrackReport:
             return 0.0
         return sum(r.detected for r in visible) / len(visible)
 
-    def false_positive_count(self, diag_mult: float = 2.0) -> int:
-        """Detections farther than diag_mult x canvas diagonal from truth,
-        or produced while the target is absent."""
-        limit = diag_mult * math.hypot(*self.canvas)
+    def false_positive_count(self) -> int:
+        """Detections farther than ``FALSE_POSITIVE_DIAGONALS`` canvas
+        diagonals from truth, or produced while the target is absent."""
+        limit = FALSE_POSITIVE_DIAGONALS * math.hypot(*self.canvas)
         n = 0
         for r in self.records:
             if not r.detected:
@@ -277,7 +279,9 @@ class SceneRenderer:
     def target_rect_frame0(self) -> tuple[int, int, int, int]:
         """Sprite-interior ROI (x, y, w, h) in frame 0, for template selection."""
         s = self.scenario
-        _, _, tlx, tly, *_ = self._rows[0]
+        _, visible, tlx, tly, *_ = self._rows[0]
+        if not visible:
+            raise InvalidScenario("target must be visible at frame 0 to select a template")
         mx = (self.canvas_side - s.sprite_width) // 2
         my = (self.canvas_side - s.sprite_height) // 2
         return (tlx + mx, tly + my, s.sprite_width, s.sprite_height)
@@ -348,7 +352,7 @@ def run_closed_loop(scenario: Scenario, cfg: TrackerConfig | None = None,
     """Full pipeline: render -> window -> detect -> correct/miss -> gimbal.
 
     The gimbal pose shifts the next frame's viewport, closing the loop.
-    The target must be in view at frame 0 so the template can be selected.
+    The template is the target's rectangle in frame 0, where it must be in view.
     ``frame_sink``, if given, receives every rendered Frame (for export).
     """
     cfg = (cfg or TrackerConfig()).validate()
@@ -357,13 +361,9 @@ def run_closed_loop(scenario: Scenario, cfg: TrackerConfig | None = None,
     gimbal = gim.Gimbal(cfg, s.width, s.height, s.fps)
     # Lazy: frame k is rendered at the viewport left by frame k-1's gimbal step.
     source = (renderer.render(k, gimbal.viewport()) for k in range(s.n_frames))
-    first = next(source)
-    frame0, truth0 = first
-    if not truth0.visible:
-        raise InvalidScenario("target must be visible at frame 0 to select a template")
     tracker = Tracker(cfg, frame_size=(s.width, s.height))
-    tracker.select(frame0, renderer.target_rect_frame0())
-    records = list(track_frames(tracker, itertools.chain([first], source), gimbal, frame_sink))
+    records = list(track_frames(tracker, source, renderer.target_rect_frame0(),
+                                gimbal, frame_sink))
     return TrackReport(records=records, canvas=tracker.canvas)
 
 
@@ -446,13 +446,18 @@ def _parse_dropouts(raw: str) -> list[tuple[float, float]]:
 
 def benchmark_scenario(patch_width: int, patch_height: int, seed: int = 5,
                        n_frames: int = 600) -> Scenario:
-    """640x480 quantized scenario used by the throughput benchmark."""
-    fps = 25.0
-    duration = n_frames / fps
+    """640x480 quantized scenario used by the throughput benchmark.
+
+    Its path and heading ramp end at 24 s, the length of the default 600
+    frames, whatever ``n_frames`` is: a shorter clip follows the start of
+    that path at the same speed and turn rate, and a longer one holds the
+    final pose.
+    """
+    fps, end = 25.0, 24.0
     return Scenario(
-        width=640, height=480, fps=fps, duration=duration, seed=seed,
-        position=[(0.0, 240.0, 200.0), (duration, 400.0, 280.0)],
-        heading=[(0.0, 0.0), (duration, 350.0)],
+        width=640, height=480, fps=fps, duration=n_frames / fps, seed=seed,
+        position=[(0.0, 240.0, 200.0), (end, 400.0, 280.0)],
+        heading=[(0.0, 0.0), (end, 350.0)],
         sprite_width=patch_width, sprite_height=patch_height,
         distractors=3, quantize=True,
     )

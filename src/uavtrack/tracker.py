@@ -3,8 +3,8 @@
 Until the first detection the whole frame is searched; afterwards each
 frame is predicted, matched inside the covariance-derived window, and
 corrected (or propagated without correction on a miss). ``track_frames``
-runs that pipeline over a frame source for ``simulate``, ``track`` and
-``benchmark`` alike.
+selects the template from a source's first frame and runs that pipeline
+over the source for ``simulate``, ``track`` and ``benchmark`` alike.
 """
 
 from __future__ import annotations
@@ -151,23 +151,25 @@ class FrameRecord:
 
 
 def track_frames(tracker: Tracker, source: Iterable[tuple[Frame, "TruthRecord | None"]],
-                 gimbal: "Gimbal | None" = None,
+                 roi: tuple[int, int, int, int], gimbal: "Gimbal | None" = None,
                  sink: Callable[[Frame], None] | None = None) -> Iterator[FrameRecord]:
-    """Track every ``(frame, truth)`` pair ``source`` yields, one at a time.
+    """Track every ``(frame, truth)`` pair ``source`` yields, one at a time,
+    with the template cut at ``roi`` from the first frame.
 
-    Each frame goes to ``sink`` (if given), then through
-    ``tracker.process`` and a ``gimbal`` step (if given). ``wall_ms``
-    covers fetching the frame through the gimbal step. The source is
-    asked for the next frame only after the previous frame's gimbal step,
-    so a renderer that reads the gimbal's viewport closes the loop.
+    The template is selected before frame 0's timed span. Each frame then
+    goes to ``sink`` (if given), through ``tracker.process`` and a
+    ``gimbal`` step (if given). ``wall_ms`` covers fetching the frame
+    (after frame 0) through the gimbal step. The source is asked for the
+    next frame only after the previous frame's gimbal step, so a renderer
+    that reads the gimbal's viewport closes the loop.
     """
     frames = iter(source)
-    while True:
-        t0 = time.perf_counter()
-        try:
-            frame, truth = next(frames)
-        except StopIteration:
-            return
+    pair = next(frames, None)
+    if pair is not None:
+        tracker.select(pair[0], roi)
+    t0 = time.perf_counter()
+    while pair is not None:
+        frame, truth = pair
         if sink is not None:
             sink(frame)
         step = tracker.process(frame)
@@ -175,3 +177,5 @@ def track_frames(tracker: Tracker, source: Iterable[tuple[Frame, "TruthRecord | 
             gimbal.step(step.detection)
         wall_ms = (time.perf_counter() - t0) * 1e3
         yield FrameRecord.build(step, truth, gimbal, wall_ms)
+        t0 = time.perf_counter()
+        pair = next(frames, None)

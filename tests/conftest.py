@@ -6,7 +6,7 @@ import pytest
 from hypothesis import strategies as st
 
 from uavtrack.config import TrackerConfig
-from uavtrack.estimator import SearchWindow
+from uavtrack.estimator import AxisState, SearchWindow, TrackState, predict
 from uavtrack.gimbal import GimbalState
 from uavtrack.imaging import rotation_canvas_side
 from uavtrack.simulator import SceneRenderer, load_scenario
@@ -19,6 +19,26 @@ def window(x0, y0, x1, y1) -> SearchWindow:
     return SearchWindow(center=((x0 + x1) / 2.0, (y0 + y1) / 2.0),
                         half_width=(x1 - x0) / 2.0, half_height=(y1 - y0) / 2.0,
                         clamped=False, x0=x0, y0=y0, x1=x1, y1=y1)
+
+
+def four_state(state: TrackState) -> tuple[np.ndarray, np.ndarray]:
+    """The filter state as one 4-state mean [px, py, vx, vy] and its 4x4
+    covariance; the filter never couples the axes, so cross-axis terms are 0."""
+    x = np.array([state.x_axis.pos, state.y_axis.pos, state.x_axis.vel, state.y_axis.vel])
+    P = np.zeros((4, 4))
+    for i, a in enumerate((state.x_axis, state.y_axis)):
+        P[i, i], P[i + 2, i + 2] = a.pp, a.vv
+        P[i, i + 2] = P[i + 2, i] = a.pv
+    return x, P
+
+
+def applied_noise(dt: float, sigma: float) -> list[tuple[float, float, float]]:
+    """The process noise ``predict`` adds over ``dt``, per axis, as
+    (var(pos), cov(pos, vel), var(vel)): the covariance it predicts from a
+    state with none."""
+    zero = AxisState(0.0, 0.0, 0.0, 0.0, 0.0)
+    st = predict(TrackState(x_axis=zero, y_axis=zero, sigma=sigma), dt)
+    return [(a.pp, a.pv, a.vv) for a in (st.x_axis, st.y_axis)]
 
 
 def gimbal_state(**overrides) -> GimbalState:

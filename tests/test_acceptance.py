@@ -12,12 +12,12 @@ from contextlib import contextmanager
 import numpy as np
 import pytest
 
-from conftest import standard_scenario, window
+from conftest import applied_noise, four_state, standard_scenario, window
 from uavtrack import simulator
 from uavtrack.cli import main, run_benchmark, DEFAULT_BENCH_SIZES
 from uavtrack.config import TrackerConfig
 from uavtrack.errors import UndefinedScore
-from uavtrack.estimator import build_noise, correct, init, predict
+from uavtrack.estimator import correct, init, predict
 from uavtrack.gimbal import Gimbal, GimbalState, step_gimbal
 from uavtrack.imaging import Frame, Patch
 from uavtrack.matcher import Detection, zmncc_fast, zmncc_oracle
@@ -104,31 +104,27 @@ def test_criterion_3_rotation_invariance(benign_report):
 
 def test_criterion_4_ekf_analytics():
     rng = np.random.default_rng(9)
-    nm = build_noise(1.0, 0.4)
-    exact_ok = nm.Q[0, 0] == 8.0 / 15.0 and nm.Q[1, 1] == 8.0 / 15.0
+    # Q as predict applies it: the covariance predicted from none, per axis.
+    exact_ok = all(q[0] == 8.0 / 15.0 for q in applied_noise(1.0, 0.4))
     for _ in range(100):
         dt = float(rng.uniform(1e-3, 1.0))
         s = float(rng.uniform(1e-3, 1.0))
-        q = build_noise(dt, s).Q
         a = dt * s + (1.0 / 3.0) * dt ** 3 * s
         b = 0.5 * dt ** 2 * s
-        want = np.zeros((4, 4))
-        want[0, 0] = want[1, 1] = a
-        want[2, 2] = want[3, 3] = dt * s
-        want[0, 2] = want[2, 0] = want[1, 3] = want[3, 1] = b
-        exact_ok = exact_ok and np.array_equal(q, want)
+        exact_ok = exact_ok and applied_noise(dt, s) == [(a, b, dt * s)] * 2
 
     cfg = TrackerConfig()
-    st = init(Detection((100, 100), 0.95, 0, 0), 0.0, cfg.sigma, cfg.p0_pos, cfg.p0_vel)
+    st = init(Detection((100, 100), 0.95, 0), 0.0, cfg.sigma, cfg.p0_pos, cfg.p0_vel)
     t = 0.0
     sym_ok = psd_ok = True
     for _ in range(10_000):
         t += float(rng.uniform(0.005, 1.0))
         st = predict(st, t)
         if rng.uniform() < 0.7:
-            st = correct(st, (st.x[0] + rng.normal(), st.x[1] + rng.normal()))
-        sym_ok = sym_ok and np.max(np.abs(st.P - st.P.T)) < 1e-9
-        psd_ok = psd_ok and np.linalg.eigvalsh(st.P).min() >= -1e-9
+            st = correct(st, (st.position[0] + rng.normal(), st.position[1] + rng.normal()))
+        P = four_state(st)[1]
+        sym_ok = sym_ok and np.max(np.abs(P - P.T)) < 1e-9
+        psd_ok = psd_ok and np.linalg.eigvalsh(P).min() >= -1e-9
     with criterion(4, "Q matches direct evaluation exactly (100 cases, "
                       "a=8/15 at dt=1); P symmetric PSD over 10,000 cycles"):
         assert exact_ok

@@ -50,6 +50,9 @@ class TestTrackCommand:
         assert rc == 2
         assert not out.exists()
         assert "error:" in capsys.readouterr().err
+        rc = main(["track", str(seq), "--roi", "500,10,30,30", "--out", str(out),
+                   "--dump-frames"])
+        assert rc == 2 and not out.exists()
 
     def test_empty_sequence_dir_exits_2(self, tmp_path, capsys):
         empty = tmp_path / "empty"
@@ -183,6 +186,15 @@ class TestSimulateCommand:
         key, value = entry.split("=")
         assert f"bad.cfg:1: '{value}' is not a finite number for '{key}'" in capsys.readouterr().err
 
+    def test_target_hidden_at_frame_0_exits_2(self, tmp_path, capsys):
+        scn = write_scenario(tmp_path / "scn.txt",
+                             quantized_scenario(duration=1.0, dropouts=[(0.0, 0.5)]))
+        out = tmp_path / "o"
+        assert main(["simulate", scn, "--out", str(out)]) == 2
+        assert capsys.readouterr().err == \
+            "error: target must be visible at frame 0 to select a template\n"
+        assert not out.exists()
+
     def test_missing_scenario_exits_2(self, tmp_path):
         assert main(["simulate", str(tmp_path / "nope.txt")]) == 2
 
@@ -213,6 +225,14 @@ class TestBenchmarkCommand:
         records = list(clip.track(TrackerConfig()))
         assert calls == [1]
         assert [r.frame_index for r in records] == list(range(6))
+
+    @pytest.mark.parametrize("size", cli.DEFAULT_BENCH_SIZES)
+    def test_short_clip_tracks_every_frame(self, size):
+        # A short clip follows the start of the full-length path, so it
+        # measures tracking, not the miss path.
+        records = list(cli._Clip.render(*size, n_frames=40).track(TrackerConfig()))
+        assert len(records) == 40 and all(r.detected for r in records)
+        assert sum(r.templates_evaluated for r in records) / 40 <= 1.2
 
     def test_bad_sizes_exit_2(self):
         assert main(["benchmark", "--sizes", "2x2"]) == 2

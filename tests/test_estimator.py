@@ -1,11 +1,14 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from conftest import applied_noise, four_state
 from uavtrack.config import TrackerConfig
 from uavtrack.errors import InvalidTimestep
 from uavtrack.estimator import (
-    AxisState, TrackState, build_noise, correct, init, predict, search_window,
+    AxisState, TrackState, correct, init, predict, search_window,
 )
 from uavtrack.matcher import Detection
 
@@ -14,7 +17,7 @@ CFG = TrackerConfig()
 
 
 def det(x, y):
-    return Detection(position=(x, y), score=0.95, template_index=0, frame_index=0)
+    return Detection(position=(x, y), score=0.95, template_index=0)
 
 
 def start(detection, t0):
@@ -23,13 +26,20 @@ def start(detection, t0):
     return init(detection, t0, CFG.sigma, CFG.p0_pos, CFG.p0_vel)
 
 
-def diag_state(x, p_diag, last_time=0.0):
+def diag_state(x, p_diag, last_time=0.0, sigma=CFG.sigma):
     """A state with mean ``x`` = [px, py, vx, vy] and a diagonal covariance."""
     px, py, vx, vy = (float(c) for c in x)
     ppx, ppy, vvx, vvy = (float(c) for c in p_diag)
     return TrackState(x_axis=AxisState(px, vx, ppx, 0.0, vvx),
-                      y_axis=AxisState(py, vy, ppy, 0.0, vvy), sigma=CFG.sigma,
+                      y_axis=AxisState(py, vy, ppy, 0.0, vvy), sigma=sigma,
                       last_time=last_time)
+
+
+def transition(dt):
+    """The 4-state constant-velocity Jacobian A for a step of ``dt``."""
+    A = np.eye(4)
+    A[0, 2] = A[1, 3] = dt
+    return A
 
 
 def reference_q(dt, s):
@@ -44,48 +54,52 @@ def reference_q(dt, s):
 
 
 class TestBuildNoise:
+    """The process noise Q and transition A that ``predict`` applies."""
+
     def test_unit_step_constants(self):
-        nm = build_noise(1.0, 0.4)
         a = 0.4 + (1.0 / 3.0) * 0.4
-        assert nm.Q[0, 0] == a == nm.Q[1, 1]
-        assert nm.Q[0, 0] == 8.0 / 15.0
-        assert nm.Q[0, 2] == 0.2 == nm.Q[1, 3]
-        assert nm.Q[2, 2] == 0.4 == nm.Q[3, 3]
+        assert applied_noise(1.0, 0.4) == [(a, 0.2, 0.4)] * 2
+        assert a == 8.0 / 15.0
 
     def test_transition_structure(self):
-        nm = build_noise(1.0, 0.4)
-        want = np.eye(4)
-        want[0, 2] = want[1, 3] = 1.0
-        assert np.array_equal(nm.A, want)
+        st = TrackState(x_axis=AxisState(1.0, 3.0, 2.0, 0.5, 1.5),
+                        y_axis=AxisState(2.0, -4.0, 1.0, -0.25, 0.75), sigma=0.0)
+        x, P = four_state(st)
+        A = transition(0.5)
+        got_x, got_P = four_state(predict(st, 0.5))
+        assert np.array_equal(got_x, A @ x)
+        assert np.array_equal(got_P, A @ P @ A.T)  # dyadic values: exact
 
     def test_zero_sigma_gives_zero_noise(self):
-        assert not build_noise(0.5, 0.0).Q.any()
+        assert applied_noise(0.5, 0.0) == [(0.0, 0.0, 0.0)] * 2
 
     def test_matches_reference_exactly(self, rng):
+        zero = diag_state([0.0] * 4, [0.0] * 4)
         for _ in range(100):
             dt = float(rng.uniform(1e-3, 1.0))
             s = float(rng.uniform(1e-3, 1.0))
-            assert np.array_equal(build_noise(dt, s).Q, reference_q(dt, s))
+            _, P = four_state(predict(dataclasses.replace(zero, sigma=s), dt))
+            assert np.array_equal(P, reference_q(dt, s))
 
     def test_rejects_bad_dt(self):
         with pytest.raises(InvalidTimestep):
-            build_noise(0.0, 0.4)
+            predict(diag_state([0.0] * 4, [0.0] * 4), 0.0)
 
     @pytest.mark.parametrize("dt", [np.nan, np.inf, -np.inf])
     def test_rejects_non_finite_dt(self, dt):
         with pytest.raises(InvalidTimestep):
-            build_noise(dt, 0.4)
+            predict(diag_state([0.0] * 4, [0.0] * 4), 0.0 + dt)
 
 
 class TestInit:
     def test_state_from_detection(self):
         st = start(det(100, 50), 2.0)
-        assert np.array_equal(st.x, [100.0, 50.0, 0.0, 0.0])
+        assert np.array_equal(four_state(st)[0], [100.0, 50.0, 0.0, 0.0])
         assert st.last_time == 2.0
 
     def test_deterministic(self):
         a, b = start(det(7, 9), 1.0), start(det(7, 9), 1.0)
-        assert np.array_equal(a.x, b.x) and np.array_equal(a.P, b.P)
+        assert a == b
 
 
 class TestPredictCorrect:
@@ -99,7 +113,7 @@ class TestPredictCorrect:
 
     def test_covariance_grows_on_predict(self):
         st = start(det(0, 0), 0.0)
-        assert np.trace(predict(st, 1.0).P) > np.trace(st.P)
+        assert np.trace(four_state(predict(st, 1.0))[1]) > np.trace(four_state(st)[1])
 
     def test_non_monotone_time_rejected(self):
         st = start(det(0, 0), 5.0)
@@ -115,20 +129,20 @@ class TestPredictCorrect:
         pred = predict(start(det(40, 60), 0.0), 1.0)
         upd = correct(pred, pred.position)
         assert upd.position == pred.position
-        assert upd.P[0, 0] < pred.P[0, 0] and upd.P[1, 1] < pred.P[1, 1]
+        assert upd.x_axis.pp < pred.x_axis.pp and upd.y_axis.pp < pred.y_axis.pp
 
     def test_vanishing_variance_ignores_measurement(self):
         pred = diag_state([5.0, 5.0, 0.0, 0.0], [1e-12] * 4, last_time=1.0)
         upd = correct(pred, (50.0, 50.0))
-        assert abs(upd.x[0] - 5.0) < 1e-6
+        assert abs(upd.x_axis.pos - 5.0) < 1e-6
 
     def test_scalar_gain_closed_form(self):
         # decoupled x-axis: K = p / (p + 1), posterior p' = p / (p + 1)
         for p in (0.3, 1.0, 4.0, 25.0):
             pred = diag_state([0.0] * 4, [p, p, 0.0, 0.0])
             upd = correct(pred, (1.0, 0.0))
-            assert upd.x[0] == pytest.approx(p / (p + 1.0), abs=1e-12)
-            assert upd.P[0, 0] == pytest.approx(p / (p + 1.0), abs=1e-12)
+            assert upd.x_axis.pos == pytest.approx(p / (p + 1.0), abs=1e-12)
+            assert upd.x_axis.pp == pytest.approx(p / (p + 1.0), abs=1e-12)
 
     def test_position_variance_never_grows_on_correct(self, rng):
         st = start(det(0, 0), 0.0)
@@ -136,9 +150,10 @@ class TestPredictCorrect:
         for _ in range(200):
             t += float(rng.uniform(0.01, 0.5))
             pred = predict(st, t)
-            st = correct(pred, (pred.x[0] + rng.normal(), pred.x[1] + rng.normal()))
-            assert st.P[0, 0] <= pred.P[0, 0] + 1e-12
-            assert st.P[1, 1] <= pred.P[1, 1] + 1e-12
+            st = correct(pred, (pred.position[0] + rng.normal(),
+                                pred.position[1] + rng.normal()))
+            assert st.x_axis.pp <= pred.x_axis.pp + 1e-12
+            assert st.y_axis.pp <= pred.y_axis.pp + 1e-12
 
 
 class TestMissAndWindow:
@@ -190,10 +205,11 @@ class TestLongRunProperties:
             t += float(rng.uniform(0.005, 1.0))
             st = predict(st, t)
             if rng.uniform() < 0.7:
-                z = (st.x[0] + rng.normal(), st.x[1] + rng.normal())
+                z = (st.position[0] + rng.normal(), st.position[1] + rng.normal())
                 st = correct(st, z)
-            assert np.max(np.abs(st.P - st.P.T)) < 1e-9
-            assert np.linalg.eigvalsh(st.P).min() >= -1e-9
+            P = four_state(st)[1]
+            assert np.max(np.abs(P - P.T)) < 1e-9
+            assert np.linalg.eigvalsh(P).min() >= -1e-9
 
     def test_filter_beats_raw_measurements(self, rng):
         truth = np.array([50.0, 50.0])
@@ -206,7 +222,7 @@ class TestLongRunProperties:
             st = correct(predict(st, t), tuple(z))
             if k > 100:
                 raw_se.append(np.sum((z - truth) ** 2))
-                filt_se.append(np.sum((st.x[:2] - truth) ** 2))
+                filt_se.append(np.sum((np.array(st.position) - truth) ** 2))
         assert np.mean(filt_se) < np.mean(raw_se)
 
     def test_identical_sequences_give_identical_trajectories(self, rng):
@@ -217,11 +233,10 @@ class TestLongRunProperties:
             out = []
             for k, z in enumerate(zs, start=1):
                 st = correct(predict(st, float(k)), z)
-                out.append((st.x.copy(), st.P.copy()))
+                out.append(st)
             return out
 
-        for (x1, p1), (x2, p2) in zip(run(), run()):
-            assert np.array_equal(x1, x2) and np.array_equal(p1, p2)
+        assert run() == run()
 
 
 _H = np.array([[1.0, 0.0, 0.0, 0.0],
@@ -230,8 +245,8 @@ _H = np.array([[1.0, 0.0, 0.0, 0.0],
 
 def oracle_predict(x, P, dt, sigma):
     """The 4-state propagation: A x and A P A^T + Q."""
-    nm = build_noise(dt, sigma)
-    return nm.A @ x, nm.A @ P @ nm.A.T + nm.Q
+    A = transition(dt)
+    return A @ x, A @ P @ A.T + reference_q(dt, sigma)
 
 
 def oracle_correct(x, P, z):
@@ -272,7 +287,7 @@ class TestTwoAxisFilterProperties:
         p0, sigma, steps = run
         state = init(det(120, 80), 0.0, sigma=sigma, p0_pos=p0[0], p0_vel=p0[1])
         x, P = np.array([120.0, 80.0, 0.0, 0.0]), np.diag([p0[0], p0[0], p0[1], p0[1]])
-        assert np.array_equal(state.x, x) and np.array_equal(state.P, P)
+        assert all(np.array_equal(a, b) for a, b in zip(four_state(state), (x, P)))
         t = 0.0
         for dt, noise in steps:
             prev, t = t, t + dt
@@ -282,7 +297,8 @@ class TestTwoAxisFilterProperties:
                 z = (x[0] + noise[0], x[1] + noise[1])
                 state = correct(state, z)
                 x, P = oracle_correct(x, P, z)
-            assert_close(state.x, x)
-            assert_close(state.P, P)
-            assert np.array_equal(state.P, state.P.T)
-            assert np.linalg.eigvalsh(state.P).min() >= -1e-9 * float(np.abs(P).max())
+            got_x, got_P = four_state(state)
+            assert_close(got_x, x)
+            assert_close(got_P, P)
+            assert np.array_equal(got_P, got_P.T)
+            assert np.linalg.eigvalsh(got_P).min() >= -1e-9 * float(np.abs(P).max())

@@ -17,7 +17,7 @@ CAM = CameraModel(hfov=math.radians(40.0), vfov=math.radians(30.0),
 
 
 def det(x, y):
-    return Detection(position=(x, y), score=0.95, template_index=0, frame_index=0)
+    return Detection(position=(x, y), score=0.95, template_index=0)
 
 
 class TestCounts:

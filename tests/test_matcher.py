@@ -254,8 +254,7 @@ class TestFftNumerator:
             results.append((det, sched))
         (direct, s1), (fft, s2) = results
         assert direct is not None and fft is not None
-        assert (fft.position, fft.template_index, fft.frame_index) == \
-            (direct.position, direct.template_index, direct.frame_index)
+        assert (fft.position, fft.template_index) == (direct.position, direct.template_index)
         assert fft.score == pytest.approx(direct.score, abs=1e-12)
         assert s1 == s2 and s1.last_frame_evals == s2.last_frame_evals == 5
 
@@ -416,20 +415,20 @@ class TestScheduler:
         assert schedule_order(SchedulerState()) == [0, 1, 2, 3, 4, 5, 6]
 
     def test_order_after_match_at_4(self):
-        s = SchedulerState(last_matched_index=4)
+        s = SchedulerState(matched=4)
         assert schedule_order(s) == [4, 3, 5, 2, 6, 7, 8]
 
     def test_order_wraps_at_zero(self):
-        assert schedule_order(SchedulerState(last_matched_index=0)) == \
+        assert schedule_order(SchedulerState(matched=0)) == \
             [0, 35, 1, 34, 2, 3, 4]
-        assert schedule_order(SchedulerState(last_matched_index=35)) == \
+        assert schedule_order(SchedulerState(matched=35)) == \
             [35, 34, 0, 33, 1, 2, 3]
 
     @pytest.mark.parametrize("bank_size", [1, 2, 3, 4, 5, 6, 7, 36])
     def test_best_first_set_is_the_papers_set(self, bank_size):
         budget = min(7, bank_size)
         for k in range(bank_size):
-            order = schedule_order(SchedulerState(last_matched_index=k), bank_size)
+            order = schedule_order(SchedulerState(matched=k), bank_size)
             papers = {(k + d) % bank_size for d in range(-2, budget - 2)}
             assert order[0] == k and len(order) == budget
             assert set(order) == papers
@@ -438,9 +437,9 @@ class TestScheduler:
         bank = build_template_bank(Patch(rng.uniform(0, 255, (8, 8))))
         blank = Frame(np.zeros((60, 60)))
         for k in (0, 1, 17, 35):
-            sched = SchedulerState(last_matched_index=k)
+            sched = SchedulerState(matched=k)
             assert detect(blank, bank, sched, window(0, 0, 60, 60), 0.9) is None
-            assert sched.fallback_start_index == (k - 1) % 36
+            assert sched == SchedulerState(sweep_start=(k - 1) % 36)
             assert schedule_order(sched) == [(k - 1 + i) % 36 for i in range(7)]
 
     @pytest.mark.parametrize("index, maps", [(0, 1), (5, 6), (9, 28)])
@@ -459,17 +458,17 @@ class TestScheduler:
     def test_miss_advances_start_by_one(self, rng):
         bank = build_template_bank(Patch(rng.uniform(0, 255, (8, 8))))
         blank = Frame(np.zeros((60, 60)))
-        sched = SchedulerState(fallback_start_index=2, last_frame_missed=True)
+        sched = SchedulerState(sweep_start=2)
         assert schedule_order(sched)[0] == 2
         result = detect(blank, bank, sched, window(0, 0, 60, 60), 0.9)
         assert result is None
-        assert sched.fallback_start_index == 3
+        assert sched == SchedulerState(sweep_start=3)
         assert schedule_order(sched) == [3, 4, 5, 6, 7, 8, 9]
 
     def test_all_templates_tried_over_36_miss_frames(self, rng):
         bank = build_template_bank(Patch(rng.uniform(0, 255, (8, 8))))
         blank = Frame(np.zeros((60, 60)))
-        sched = SchedulerState(last_matched_index=17)
+        sched = SchedulerState(matched=17)
         tried = set()
         for _ in range(36):
             tried.update(schedule_order(sched))
@@ -496,7 +495,7 @@ class TestDetect:
         side = bank.canvas[0]
         cx, cy = x + (side - 1) / 2.0, y + (side - 1) / 2.0
         assert math.hypot(det.position[0] - cx, det.position[1] - cy) <= 1.0
-        assert sched.last_matched_index == 0
+        assert sched.matched == 0
 
     def test_rotated_40_deg_matches_index_4(self, rng):
         bank, frame, _ = planted_bank_and_frame(rng, heading=40.0)
@@ -510,8 +509,7 @@ class TestDetect:
         sched = SchedulerState()
         det = detect(Frame(np.zeros((50, 50))), bank, sched, window(0, 0, 50, 50), 0.9)
         assert det is None
-        assert sched.fallback_start_index == 1
-        assert sched.last_frame_missed
+        assert sched == SchedulerState(sweep_start=1)
 
     def test_multimodal_keeps_max_cluster(self, rng):
         t = Patch(rng.uniform(0, 255, (6, 6)))

@@ -458,6 +458,9 @@ class TestFrameLoop:
         events = []
 
         class Stub:
+            def select(self, frame, roi):
+                events.append(("select", frame, roi))
+
             def process(self, frame):
                 events.append(("process", frame))
                 return TrackStep(frame, 0.1 * frame, None, (0, 0, 4, 4), 2.0, 2.0, 1)
@@ -474,8 +477,11 @@ class TestFrameLoop:
                 yield k, None
 
         stub = Stub()
-        records = track_frames(stub, source(), stub, sink=lambda f: events.append(("sink", f)))
+        roi = (1, 2, 3, 4)
+        records = track_frames(stub, source(), roi, stub,
+                               sink=lambda f: events.append(("sink", f)))
         assert events == []  # nothing runs until a record is asked for
         assert [r.frame_index for r in records] == [0, 1, 2]
-        assert events == [e for k in range(3) for e in
-                          (("fetch", k), ("sink", k), ("process", k), ("step", None))]
+        stages = [e for k in range(3) for e in
+                  (("fetch", k), ("sink", k), ("process", k), ("step", None))]
+        assert events == stages[:1] + [("select", 0, roi)] + stages[1:]
