@@ -32,6 +32,8 @@ parent=$(cd "$1" && pwd)
 change=$(cd "$2" && pwd)
 work=$(mktemp -d)
 trap 'rm -rf "$work"' EXIT
+# uavtrack no longer reads UAVTRACK_CONFIG, but an older checkout given as
+# PARENT reads it as its config file: clear it so both run on defaults.
 unset UAVTRACK_CONFIG
 
 # uav NAME ARGS...: run the CLI of the checkout in $src, keeping its

@@ -19,7 +19,6 @@ import numpy as np
 
 from . import pgm, simulator
 from .config import ConfigError, TrackerConfig, resolve_config
-from .errors import UavtrackError
 from .gimbal import Gimbal
 from .imaging import Frame
 from .tracker import FrameRecord, Tracker, track_frames
@@ -50,7 +49,7 @@ def write_csv(path: str, columns: list[str], rows: list[dict]) -> None:
 
 def annotate(pixels: np.ndarray, record: FrameRecord) -> np.ndarray:
     """Burn the search window border and a 3x3 detection block into a copy."""
-    out = np.rint(np.clip(pixels, 0.0, 255.0)).astype(np.uint8)
+    out = pixels.astype(np.uint8)
     x0, y0, x1, y1 = record.window
     x1, y1 = x1 - 1, y1 - 1
     out[y0, x0:x1 + 1] = 255
@@ -200,7 +199,7 @@ class _Clip:
 
 
 def run_benchmark(cfg: TrackerConfig, sizes: list[tuple[int, int]],
-                  n_frames: int = 600) -> list[BenchmarkRow]:
+                  n_frames: int) -> list[BenchmarkRow]:
     """Time the tracking loop on pre-rendered 640x480 sequences.
 
     Rendering is excluded (frames are rasterized up front as 8-bit
@@ -311,7 +310,7 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (ConfigError, UavtrackError, ValueError, OSError) as e:
+    except (ValueError, OSError) as e:  # ConfigError and UavtrackError are ValueErrors
         print(f"error: {e}", file=sys.stderr)
         return 2
 

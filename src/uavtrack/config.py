@@ -10,11 +10,8 @@ from __future__ import annotations
 
 import dataclasses
 import math
-import os
 from dataclasses import dataclass
 from typing import Callable, Iterable
-
-CONFIG_ENV_VAR = "UAVTRACK_CONFIG"
 
 
 class ConfigError(ValueError):
@@ -152,13 +149,7 @@ def kv_text(kind: str, obj, items: Iterable[tuple[str, str]] = ()) -> str:
 
 
 def resolve_config(path: str | None) -> TrackerConfig:
-    """Load a config from an explicit path, the environment, or defaults.
-
-    Precedence: explicit --config path, then $UAVTRACK_CONFIG, then
-    built-in defaults.
-    """
-    if path is None:
-        path = os.environ.get(CONFIG_ENV_VAR)
+    """The config read from ``path``, or the defaults when ``path`` is None."""
     if path is None:
         return TrackerConfig().validate()
     return TrackerConfig.from_file(path)

@@ -116,7 +116,7 @@ class SchedulerState:
     last_frame_evals: int = field(default=0, compare=False)
 
 
-def schedule_order(sched: SchedulerState, bank_size: int = 36) -> list[int]:
+def schedule_order(sched: SchedulerState, bank_size: int) -> list[int]:
     """Template indices to try this frame, in order, at most ``TEMPLATE_BUDGET``."""
     n = min(TEMPLATE_BUDGET, bank_size)
     if sched.matched is not None:

@@ -29,6 +29,15 @@ from .tracker import FrameRecord, Tracker, track_frames
 
 Breakpoints = list[tuple[float, ...]]
 
+# The world every scenario renders: value noise of BACKGROUND_CELL-pixel
+# cells around BACKGROUND_BASE, WORLD_MARGIN pixels beyond the unshifted
+# viewport on every side, and sprites of SPRITE_CONTRAST about the same base.
+SPRITE_CONTRAST = 62.0
+BACKGROUND_BASE = 105.0
+BACKGROUND_CONTRAST = 9.0
+BACKGROUND_CELL = 5
+WORLD_MARGIN = 128
+
 
 @dataclass
 class Scenario:
@@ -44,12 +53,7 @@ class Scenario:
     dropouts: list[tuple[float, float]] = field(default_factory=list)
     sprite_width: int = 30
     sprite_height: int = 30
-    sprite_contrast: float = 62.0
-    background_base: float = 105.0
-    background_contrast: float = 9.0
-    background_cell: int = 5
     distractors: int = 2
-    world_margin: int = 128
     quantize: bool = False
 
     @property
@@ -57,18 +61,6 @@ class Scenario:
         return int(round(self.fps * self.duration))
 
     def validate(self) -> "Scenario":
-        if self.width < 8 or self.height < 8:
-            raise InvalidScenario(f"frame size {self.width}x{self.height} too small")
-        if self.fps <= 0 or self.duration <= 0:
-            raise InvalidScenario("fps and duration must be positive")
-        if self.n_frames < 1:
-            raise InvalidScenario("scenario renders zero frames")
-        for name, least in (("sprite_width", 1), ("sprite_height", 1), ("seed", 0),
-                            ("distractors", 0), ("background_cell", 1), ("world_margin", 0)):
-            if getattr(self, name) < least:
-                raise InvalidScenario(f"{name} must be >= {least}")
-        if self.sprite_width * self.sprite_height < 16:
-            raise InvalidScenario("sprite must cover at least 16 pixels")
         _sample(self)
         return self
 
@@ -186,10 +178,24 @@ class _Samples(NamedTuple):
 
 
 def _sample(s: Scenario) -> _Samples:
-    """Every frame's schedule values, one ``np.interp`` per schedule component,
-    checked to have breakpoints at strictly increasing times, to be finite and
-    to keep the sprite canvas in the frame while in view, with every dropout
-    span finite and ending after it starts."""
+    """Every frame's schedule values, one ``np.interp`` per schedule component.
+
+    This is the one check of a scenario: its sizes, rates and counts must be
+    in range, its schedules must have breakpoints at strictly increasing
+    times, be finite and keep the sprite canvas in the frame while in view,
+    and every dropout span must be finite and end after it starts."""
+    if s.width < 8 or s.height < 8:
+        raise InvalidScenario(f"frame size {s.width}x{s.height} too small")
+    if s.fps <= 0 or s.duration <= 0:
+        raise InvalidScenario("fps and duration must be positive")
+    if s.n_frames < 1:
+        raise InvalidScenario("scenario renders zero frames")
+    for name, least in (("sprite_width", 1), ("sprite_height", 1), ("seed", 0),
+                        ("distractors", 0)):
+        if getattr(s, name) < least:
+            raise InvalidScenario(f"{name} must be >= {least}")
+    if s.sprite_width * s.sprite_height < 16:
+        raise InvalidScenario("sprite must cover at least 16 pixels")
     side = rotation_canvas_side(s.sprite_width, s.sprite_height)
     if side > min(s.width, s.height):
         raise InvalidScenario(f"sprite canvas {side} exceeds frame {s.width}x{s.height}")
@@ -232,7 +238,6 @@ class SceneRenderer:
     """
 
     def __init__(self, scenario: Scenario):
-        scenario.validate()
         self.scenario = scenario
         s = scenario
         samples = _sample(s)
@@ -244,12 +249,12 @@ class SceneRenderer:
             (t, visible, round(x - half), round(y - half), heading % 360.0, gain, offset)
             for t, visible, x, y, heading, gain, offset in zip(*(c.tolist() for c in samples))]
         rng = np.random.default_rng(s.seed)
-        m = s.world_margin
+        m = WORLD_MARGIN
         wh, ww = s.height + 2 * m, s.width + 2 * m
-        world = s.background_base + s.background_contrast * value_noise(
-            rng, wh, ww, s.background_cell)
+        world = BACKGROUND_BASE + BACKGROUND_CONTRAST * value_noise(
+            rng, wh, ww, BACKGROUND_CELL)
         self.sprite = blob_sprite(rng, s.sprite_width, s.sprite_height,
-                                  s.sprite_contrast, s.background_base)
+                                  SPRITE_CONTRAST, BACKGROUND_BASE)
         self._warped = None  # (heading, canvas, inside) of the last warp
         self._place_distractors(rng, world, list(zip(samples.x[::5], samples.y[::5])))
         world = np.clip(world, 0.0, 255.0)
@@ -259,13 +264,13 @@ class SceneRenderer:
     def _place_distractors(self, rng: np.random.Generator, world: np.ndarray,
                            path: list[tuple[float, float]]) -> None:
         s = self.scenario
-        m = s.world_margin
+        m = WORLD_MARGIN
         side = self.canvas_side
         keep_away = math.hypot(side, side)
         placed = []
         for i in range(s.distractors):
             tex = blob_sprite(rng, s.sprite_width, s.sprite_height,
-                              s.sprite_contrast * 0.8, s.background_base, n_blobs=5)
+                              SPRITE_CONTRAST * 0.8, BACKGROUND_BASE, n_blobs=5)
             for _ in range(200):
                 x = rng.integers(0, world.shape[1] - s.sprite_width)
                 y = rng.integers(0, world.shape[0] - s.sprite_height)
@@ -296,7 +301,7 @@ class SceneRenderer:
         if not 0 <= k < len(self._rows):
             raise IndexError(f"frame {k} outside the scenario's {len(self._rows)} frames")
         t, visible, tlx, tly, heading, gain, offset = self._rows[k]
-        m = s.world_margin
+        m = WORLD_MARGIN
         ox = max(-m, min(m, int(viewport[0])))
         oy = max(-m, min(m, int(viewport[1])))
         crop = self.world[m + oy:m + oy + s.height, m + ox:m + ox + s.width].copy()
@@ -444,9 +449,9 @@ def _parse_dropouts(raw: str) -> list[tuple[float, float]]:
 # The benchmark scenario
 # --------------------------------------------------------------------------
 
-def benchmark_scenario(patch_width: int, patch_height: int, seed: int = 5,
+def benchmark_scenario(patch_width: int, patch_height: int,
                        n_frames: int = 600) -> Scenario:
-    """640x480 quantized scenario used by the throughput benchmark.
+    """640x480 quantized scenario of seed 5 used by the throughput benchmark.
 
     Its path and heading ramp end at 24 s, the length of the default 600
     frames, whatever ``n_frames`` is: a shorter clip follows the start of
@@ -455,7 +460,7 @@ def benchmark_scenario(patch_width: int, patch_height: int, seed: int = 5,
     """
     fps, end = 25.0, 24.0
     return Scenario(
-        width=640, height=480, fps=fps, duration=n_frames / fps, seed=seed,
+        width=640, height=480, fps=fps, duration=n_frames / fps, seed=5,
         position=[(0.0, 240.0, 200.0), (end, 400.0, 280.0)],
         heading=[(0.0, 0.0), (end, 350.0)],
         sprite_width=patch_width, sprite_height=patch_height,

@@ -104,8 +104,3 @@ def headings():
 @pytest.fixture
 def rng():
     return np.random.default_rng(1234)
-
-
-@pytest.fixture(autouse=True)
-def _isolated_config_env(monkeypatch):
-    monkeypatch.delenv("UAVTRACK_CONFIG", raising=False)

@@ -31,6 +31,14 @@ def read_rows(path):
         return list(csv.DictReader(f))
 
 
+def strip_timing(path):
+    """The CSV's lines without the wall_ms column."""
+    lines = open(path).read().splitlines()
+    cols = lines[0].split(",")
+    keep = [i for i, c in enumerate(cols) if c != "wall_ms"]
+    return ["\x00".join(line.split(",")[i] for i in keep) for line in lines]
+
+
 @pytest.fixture
 def exported(tmp_path):
     """Simulate a short quantized run with --export; return key paths."""
@@ -144,12 +152,6 @@ class TestSimulateCommand:
             assert rc == 0
             outs.append(tmp_path / name)
 
-        def strip_timing(path):
-            lines = open(path).read().splitlines()
-            cols = lines[0].split(",")
-            keep = [i for i, c in enumerate(cols) if c != "wall_ms"]
-            return ["\x00".join(line.split(",")[i] for i in keep) for line in lines]
-
         assert strip_timing(outs[0] / "report.csv") == strip_timing(outs[1] / "report.csv")
         assert (outs[0] / "motor_log.csv").read_bytes() == (outs[1] / "motor_log.csv").read_bytes()
 
@@ -194,6 +196,29 @@ class TestSimulateCommand:
         assert capsys.readouterr().err == \
             "error: target must be visible at frame 0 to select a template\n"
         assert not out.exists()
+
+    @pytest.mark.parametrize("entry", [
+        "sprite_contrast=62.0", "background_base=105.0", "background_contrast=9.0",
+        "background_cell=5", "world_margin=128",
+    ])
+    def test_fixed_world_key_exits_2_with_line(self, tmp_path, capsys, entry):
+        # Every scenario renders the same world, so its values are not keys.
+        text = simulator.scenario_text(quantized_scenario(duration=0.5)) + entry + "\n"
+        bad = tmp_path / "bad.txt"
+        bad.write_text(text)
+        assert main(["simulate", str(bad), "--out", str(tmp_path / "o")]) == 2
+        line, key = len(text.splitlines()), entry.split("=")[0]
+        assert f"bad.txt:{line}: unknown key '{key}'" in capsys.readouterr().err
+
+    def test_config_environment_variable_is_not_read(self, tmp_path, monkeypatch):
+        bad = tmp_path / "bad.cfg"
+        bad.write_text("sigma=nan\n")
+        scn = write_scenario(tmp_path / "scn.txt", quantized_scenario(duration=1.0))
+        assert main(["simulate", scn, "--out", str(tmp_path / "plain")]) == 0
+        monkeypatch.setenv("UAVTRACK_CONFIG", str(bad))
+        assert main(["simulate", scn, "--out", str(tmp_path / "env")]) == 0
+        assert strip_timing(tmp_path / "env" / "report.csv") == \
+            strip_timing(tmp_path / "plain" / "report.csv")
 
     def test_missing_scenario_exits_2(self, tmp_path):
         assert main(["simulate", str(tmp_path / "nope.txt")]) == 2

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from conftest import SCENARIOS
-from uavtrack.config import CONFIG_ENV_VAR, ConfigError, TrackerConfig, kv_text, resolve_config
+from uavtrack.config import ConfigError, TrackerConfig, kv_text, resolve_config
 
 
 def test_defaults_match_tuned_values():
@@ -103,10 +103,9 @@ def test_resolve_precedence(tmp_path, monkeypatch):
     flag_cfg = tmp_path / "flag.cfg"
     flag_cfg.write_text("fps=12\n")
 
-    monkeypatch.delenv(CONFIG_ENV_VAR, raising=False)
-    assert resolve_config(None).fps == 25.0
-    monkeypatch.setenv(CONFIG_ENV_VAR, str(env_cfg))
-    assert resolve_config(None).fps == 60.0
+    # --config is the only way to give a file: the environment is not read.
+    monkeypatch.setenv("UAVTRACK_CONFIG", str(env_cfg))
+    assert resolve_config(None) == TrackerConfig()
     assert resolve_config(str(flag_cfg)).fps == 12.0
 
 

@@ -412,16 +412,16 @@ class TestEightBitFrames:
 
 class TestScheduler:
     def test_fresh_order(self):
-        assert schedule_order(SchedulerState()) == [0, 1, 2, 3, 4, 5, 6]
+        assert schedule_order(SchedulerState(), 36) == [0, 1, 2, 3, 4, 5, 6]
 
     def test_order_after_match_at_4(self):
         s = SchedulerState(matched=4)
-        assert schedule_order(s) == [4, 3, 5, 2, 6, 7, 8]
+        assert schedule_order(s, 36) == [4, 3, 5, 2, 6, 7, 8]
 
     def test_order_wraps_at_zero(self):
-        assert schedule_order(SchedulerState(matched=0)) == \
+        assert schedule_order(SchedulerState(matched=0), 36) == \
             [0, 35, 1, 34, 2, 3, 4]
-        assert schedule_order(SchedulerState(matched=35)) == \
+        assert schedule_order(SchedulerState(matched=35), 36) == \
             [35, 34, 0, 33, 1, 2, 3]
 
     @pytest.mark.parametrize("bank_size", [1, 2, 3, 4, 5, 6, 7, 36])
@@ -440,7 +440,7 @@ class TestScheduler:
             sched = SchedulerState(matched=k)
             assert detect(blank, bank, sched, window(0, 0, 60, 60), 0.9) is None
             assert sched == SchedulerState(sweep_start=(k - 1) % 36)
-            assert schedule_order(sched) == [(k - 1 + i) % 36 for i in range(7)]
+            assert schedule_order(sched, 36) == [(k - 1 + i) % 36 for i in range(7)]
 
     @pytest.mark.parametrize("index, maps", [(0, 1), (5, 6), (9, 28)])
     def test_fresh_lock_on_class_after_sweep_maps(self, rng, index, maps):
@@ -459,11 +459,11 @@ class TestScheduler:
         bank = build_template_bank(Patch(rng.uniform(0, 255, (8, 8))))
         blank = Frame(np.zeros((60, 60)))
         sched = SchedulerState(sweep_start=2)
-        assert schedule_order(sched)[0] == 2
+        assert schedule_order(sched, 36)[0] == 2
         result = detect(blank, bank, sched, window(0, 0, 60, 60), 0.9)
         assert result is None
         assert sched == SchedulerState(sweep_start=3)
-        assert schedule_order(sched) == [3, 4, 5, 6, 7, 8, 9]
+        assert schedule_order(sched, 36) == [3, 4, 5, 6, 7, 8, 9]
 
     def test_all_templates_tried_over_36_miss_frames(self, rng):
         bank = build_template_bank(Patch(rng.uniform(0, 255, (8, 8))))
@@ -471,7 +471,7 @@ class TestScheduler:
         sched = SchedulerState(matched=17)
         tried = set()
         for _ in range(36):
-            tried.update(schedule_order(sched))
+            tried.update(schedule_order(sched, 36))
             assert detect(blank, bank, sched, window(0, 0, 60, 60), 0.9) is None
         assert tried == set(range(36))
 

@@ -22,7 +22,7 @@ from uavtrack.tracker import TrackStep, track_frames
 def small_scenario(**overrides) -> Scenario:
     base = dict(width=120, height=100, fps=20.0, duration=1.5, seed=3,
                 position=[(0.0, 60.0, 50.0)], sprite_width=20, sprite_height=20,
-                distractors=1, world_margin=24)
+                distractors=1)
     base.update(overrides)
     return Scenario(**base)
 
@@ -48,10 +48,9 @@ class TestRendering:
             assert rec.heading == want
 
     def test_gain_offset_leave_scores_unchanged(self):
-        dim = dict(sprite_contrast=25.0, background_base=80.0,
-                   background_contrast=5.0)
-        plain = small_scenario(**dim)
-        lit = small_scenario(gain=[(0.0, 1.3)], offset=[(0.0, 20.0)], **dim)
+        plain = small_scenario()
+        # The sprite peaks at 195, and 195 * 1.2 + 10 = 244 stays below the clip.
+        lit = small_scenario(gain=[(0.0, 1.2)], offset=[(0.0, 10.0)])
         f0, truth0 = render_open_loop(plain)
         f1, _ = render_open_loop(lit)
         assert f1[0].pixels.max() < 255.0  # the invariance premise: no clipping
@@ -94,7 +93,7 @@ def two_warp_frame(renderer, k, viewport):
     alpha blend with the warp of an all-ones raster, then gain, offset,
     clip and rounding into new arrays."""
     s = renderer.scenario
-    m = s.world_margin
+    m = simulator.WORLD_MARGIN
     ox, oy = (max(-m, min(m, v)) for v in viewport)
     crop = renderer.world[m + oy:m + oy + s.height, m + ox:m + ox + s.width].copy()
     truth = renderer.render(k)[1]
@@ -116,7 +115,8 @@ def two_warp_frame(renderer, k, viewport):
 class TestSharedWarp:
     @settings(max_examples=60, deadline=None)
     @given(st.integers(2, 45), st.integers(2, 45), headings(), st.floats(0.5, 1.5),
-           st.floats(-20.0, 20.0), st.booleans(), st.integers(-10, 10), st.integers(-10, 10))
+           st.floats(-20.0, 20.0), st.booleans(), st.integers(-140, 140),
+           st.integers(-140, 140))
     def test_frame_equals_two_warp_blend(self, sh, sw, heading, gain, offset, quantize, ox, oy):
         assume(sh * sw >= 16)
         size = rotation_canvas_side(sw, sh) + 6
@@ -124,7 +124,7 @@ class TestSharedWarp:
                            position=[(0.0, size / 2.0, size / 2.0)],
                            sprite_width=sw, sprite_height=sh, heading=[(0.0, heading)],
                            gain=[(0.0, gain)], offset=[(0.0, offset)], quantize=quantize,
-                           distractors=0, world_margin=8)
+                           distractors=0)
         r = SceneRenderer(s)
         frame, _ = r.render(0, (ox, oy))
         assert np.array_equal(frame.pixels, two_warp_frame(r, 0, (ox, oy)))
@@ -226,7 +226,6 @@ class TestValidation:
         ("sprite_height=0", "sprite_height must be >= 1"),
         ("seed=-1", "seed must be >= 0"),
         ("distractors=-3", "distractors must be >= 0"),
-        ("background_cell=0", "background_cell must be >= 1"),
     ])
     def test_out_of_range_integer_rejected(self, line, message):
         text = ("width=120\nheight=100\nfps=20\nduration=1\nseed=1\n"
@@ -275,6 +274,14 @@ class TestValidation:
         with pytest.raises(InvalidScenario, match=f"{name} schedule is empty"):
             small_scenario(**{name: []}).validate()
 
+    def test_renderer_checks_the_scenario_once(self, monkeypatch):
+        calls = []
+        sample = simulator._sample
+        monkeypatch.setattr(simulator, "_sample", lambda s: calls.append(s) or sample(s))
+        s = small_scenario()
+        SceneRenderer(s)
+        assert calls == [s]
+
     @pytest.mark.parametrize("k", [-1, 30])
     def test_render_rejects_frame_outside_scenario(self, k):
         with pytest.raises(IndexError):
@@ -312,13 +319,7 @@ def scenarios(draw):
         gain=schedule(draw, lambda: (draw(st.floats(0.1, 4.0)),)),
         offset=schedule(draw, lambda: (draw(finite),)),
         dropouts=list(zip(spans[::2], spans[1::2])),
-        sprite_width=sw, sprite_height=sh,
-        sprite_contrast=draw(st.floats(0.0, 255.0)),
-        background_base=draw(st.floats(0.0, 255.0)),
-        background_contrast=draw(st.floats(0.0, 255.0)),
-        background_cell=draw(st.integers(1, 16)),
-        distractors=draw(st.integers(0, 5)),
-        world_margin=draw(st.integers(0, 256)),
+        sprite_width=sw, sprite_height=sh, distractors=draw(st.integers(0, 5)),
         quantize=draw(st.booleans())).validate()
 
 
@@ -336,7 +337,7 @@ def scalar_truth(s: Scenario, canvas_side: int, k: int, viewport) -> TruthRecord
     cx, cy = at(s.position)
     (heading,), (gain,), (offset,) = at(s.heading), at(s.gain), at(s.offset)
     half = (canvas_side - 1) / 2.0
-    m = s.world_margin
+    m = simulator.WORLD_MARGIN
     ox, oy = (max(-m, min(m, v)) for v in viewport)
     return TruthRecord(frame_index=k, time=t, visible=not any(a <= t < b for a, b in s.dropouts),
                        x=round(cx - half) + half - ox, y=round(cy - half) + half - oy,
@@ -396,8 +397,7 @@ class TestScenarioFiles:
         assert parse_scenario(text).dropouts == [(2.5e-05, 0.5), (0.5, 10.0)]
 
     @pytest.mark.parametrize("line", [
-        "fps=inf", "duration=nan", "sprite_contrast=inf", "background_base=nan",
-        "background_contrast=-inf", "position=0:60,nan", "position=inf:60,50",
+        "fps=inf", "duration=nan", "position=0:60,nan", "position=inf:60,50",
         "heading=0:inf", "gain=0:nan", "offset=0:-inf", "gain=nan:1.0",
         "dropout=0.2-inf", "dropout=nan-0.5",
     ])
