@@ -8,11 +8,13 @@ writes each side's runs, their median and quartiles, the median of the
 per-pair change/parent ratios and how many pairs the change won. It also
 writes the seed, the seconds per run, the CPU model and the environment
 line each run printed (cores, BLAS library and threads, Python, numpy).
-Run from anywhere:
+``--trace`` adds alternating pairs of traced runs (``--trace 1``) and writes
+the same summary for the per-layer metrics, to show which layers a change
+moves. Run from anywhere:
 
     python3 scripts/bench_record.py --parent ../parent --change . \\
         --runs steady640=5 acquire640=3 sim_replay=3 --seed 1 --seconds 30 \\
-        --out BENCH_6.json
+        --trace acquire640=3 --out BENCH_6.json
 
 It exits 1 if any run fails or reports ``correct: false``.
 """
@@ -35,22 +37,26 @@ def parse_args(argv=None):
                    help="runs per side for each workload, e.g. steady640=5")
     p.add_argument("--seed", type=int, default=1)
     p.add_argument("--seconds", type=float, default=30.0)
+    p.add_argument("--trace", nargs="+", default=[], metavar="WORKLOAD=K",
+                   help="traced pairs per workload (per-layer metrics), e.g. acquire640=3")
     p.add_argument("--out", required=True, help="JSON file to write")
     args = p.parse_args(argv)
-    runs = {}
-    for item in args.runs:
-        name, _, k = item.partition("=")
-        if not k.isdigit() or int(k) < 2:
-            p.error(f"--runs entries need WORKLOAD=K with K >= 2, got '{item}'")
-        runs[name] = int(k)
-    args.runs = runs
+    for option in ("runs", "trace"):
+        counts = {}
+        for item in getattr(args, option):
+            name, _, k = item.partition("=")
+            if not k.isdigit() or int(k) < 2:
+                p.error(f"--{option} entries need WORKLOAD=K with K >= 2, got '{item}'")
+            counts[name] = int(k)
+        setattr(args, option, counts)
     return args
 
 
-def run_once(tree: str, workload: str, seed: int, seconds: float) -> tuple[dict, dict]:
+def run_once(tree: str, workload: str, seed: int, seconds: float,
+             trace: int) -> tuple[dict, dict]:
     """One ``perfbench/run.py`` run in ``tree``: its environment and result."""
     cmd = [sys.executable, os.path.join("perfbench", "run.py"), "--workload", workload,
-           "--seed", str(seed), "--seconds", str(seconds)]
+           "--seed", str(seed), "--seconds", str(seconds), "--trace", str(trace)]
     proc = subprocess.run(cmd, cwd=tree, stdout=subprocess.PIPE, text=True)
     if proc.returncode != 0:
         raise SystemExit(f"{tree}: {' '.join(cmd[1:])} exited {proc.returncode}")
@@ -84,41 +90,61 @@ def cpu_model() -> str:
     return "unknown"
 
 
+def run_pairs(sides: dict, workload: str, k: int, args, trace: int,
+              environments: list) -> dict:
+    """k alternating pairs of one workload: each side's list of metric dicts."""
+    results = {side: [] for side in sides}
+    for pair in range(k):
+        order = ("parent", "change") if pair % 2 == 0 else ("change", "parent")
+        for side in order:
+            env, result = run_once(sides[side], workload, args.seed, args.seconds, trace)
+            if env not in environments:
+                environments.append(env)
+            results[side].append(result["metrics"])
+            print(f"{workload} {'traced ' if trace else ''}pair {pair + 1}/{k} {side}: "
+                  + ", ".join(f"{name}={m['value']:.4g}"
+                              for name, m in result["metrics"].items()),
+                  file=sys.stderr, flush=True)
+    return results
+
+
+def summarize(results: dict, metrics: list) -> dict:
+    """Per metric: each side's spread, the median pair ratio and pairs won."""
+    table = {}
+    for m in metrics:
+        name = m["name"]
+        if name not in results["parent"][0]:
+            continue
+        values = {side: [r[name]["value"] for r in runs] for side, runs in results.items()}
+        if not all(values["parent"]):
+            continue  # a layer the workload never calls reads 0
+        ratios = [c / p for p, c in zip(values["parent"], values["change"])]
+        better = (lambda r: r > 1.0) if m["better"] == "higher" else (lambda r: r < 1.0)
+        table[name] = {
+            "unit": m["unit"], "better": m["better"],
+            "parent": spread(values["parent"]), "change": spread(values["change"]),
+            "ratio_median": statistics.median(ratios),
+            "pairs_better": sum(better(r) for r in ratios),
+        }
+    return table
+
+
 def main(argv=None) -> int:
     args = parse_args(argv)
     with open(os.path.join(args.change, "BENCHMARK.json")) as f:
-        metrics = json.load(f)["end_to_end"]
+        benchmark = json.load(f)
     sides = {"parent": args.parent, "change": args.change}
     environments = []
     workloads = {}
     for workload, k in args.runs.items():
-        results = {side: [] for side in sides}
-        for pair in range(k):
-            order = ("parent", "change") if pair % 2 == 0 else ("change", "parent")
-            for side in order:
-                env, result = run_once(sides[side], workload, args.seed, args.seconds)
-                if env not in environments:
-                    environments.append(env)
-                results[side].append(result["metrics"])
-                print(f"{workload} pair {pair + 1}/{k} {side}: "
-                      + ", ".join(f"{m['name']}={result['metrics'][m['name']]['value']:.4g}"
-                                  for m in metrics if m["name"] in result["metrics"]),
-                      file=sys.stderr, flush=True)
-        table = {}
-        for m in metrics:
-            name = m["name"]
-            if name not in results["parent"][0]:
-                continue
-            values = {side: [r[name]["value"] for r in results[side]] for side in sides}
-            ratios = [c / p for p, c in zip(values["parent"], values["change"])]
-            better = (lambda r: r > 1.0) if m["better"] == "higher" else (lambda r: r < 1.0)
-            table[name] = {
-                "unit": m["unit"], "better": m["better"],
-                "parent": spread(values["parent"]), "change": spread(values["change"]),
-                "ratio_median": statistics.median(ratios),
-                "pairs_better": sum(better(r) for r in ratios),
-            }
-        workloads[workload] = {"runs_per_side": k, "metrics": table}
+        results = run_pairs(sides, workload, k, args, 0, environments)
+        workloads[workload] = {"runs_per_side": k,
+                               "metrics": summarize(results, benchmark["end_to_end"])}
+    traced = {}
+    for workload, k in args.trace.items():
+        results = run_pairs(sides, workload, k, args, 1, environments)
+        traced[workload] = {"runs_per_side": k,
+                            "metrics": summarize(results, benchmark["per_layer"])}
 
     record = {
         "command": "python3 perfbench/run.py --workload <workload> "
@@ -134,6 +160,8 @@ def main(argv=None) -> int:
         "environment": environments[0] if len(environments) == 1 else environments,
         "workloads": workloads,
     }
+    if traced:
+        record["traced"] = traced
     with open(args.out, "w") as f:
         json.dump(record, f, indent=2)
         f.write("\n")

@@ -62,14 +62,23 @@ def read_pgm(path: str) -> np.ndarray:
             pos = end
     if tokens[0] != b"P5":
         raise ValueError(f"{path}: not a binary PGM (magic {tokens[0]!r})")
-    w, h, maxval = int(tokens[1]), int(tokens[2]), int(tokens[3])
-    if maxval <= 0 or maxval > 255:
+    w, h, maxval = (_header_int(path, name, token)
+                    for name, token in zip(("width", "height", "maxval"), tokens[1:]))
+    if maxval > 255:
         raise ValueError(f"{path}: unsupported maxval {maxval} (8-bit only)")
     pos += 1  # single whitespace byte after maxval
     raw = memoryview(data)[pos:pos + w * h]
     if len(raw) != w * h:
         raise ValueError(f"{path}: expected {w * h} pixel bytes, got {len(raw)}")
     return np.frombuffer(bytearray(raw), dtype=np.uint8).reshape(h, w)
+
+
+def _header_int(path: str, name: str, token: bytes) -> int:
+    """A PGM header field, which must be a positive decimal integer."""
+    if not token.isdigit() or int(token) == 0:
+        raise ValueError(f"{path}: PGM {name} {token.decode('ascii', 'replace')!r} "
+                         "is not a positive integer")
+    return int(token)
 
 
 def frame_filename(index: int) -> str:

@@ -131,6 +131,17 @@ class TestTrackCommand:
         assert "frame_000005.pgm" in capsys.readouterr().err
         assert not (out / "track_log.csv").exists()
 
+    @pytest.mark.parametrize("header", [
+        b"P5\n4.5 4\n255\n", b"P5\n-8 4\n255\n", b"P5\n0 0\n255\n"])
+    def test_bad_pgm_header_exits_2_with_path(self, tmp_path, capsys, header):
+        seq = tmp_path / "seq"
+        seq.mkdir()
+        path = seq / pgm.frame_filename(0)
+        path.write_bytes(header + bytes(16))
+        rc = main(["track", str(seq), "--roi", "0,0,4,4", "--out", str(tmp_path / "t")])
+        assert rc == 2
+        assert f"{path}: PGM" in capsys.readouterr().err
+
     def test_long_miss_run_exits_1(self, tmp_path):
         s = quantized_scenario(duration=3.0,
                                dropouts=[(0.6, 3.0)])  # 60 trailing miss frames

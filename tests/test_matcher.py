@@ -231,6 +231,45 @@ class TestFftNumerator:
                               for _ in range(300)]
         assert_matches_oracle(cmap, frame, template, spots)
 
+    @pytest.mark.parametrize("frame_shape, shape", [
+        ((60, 75), (9, 7)),     # odd 5-smooth width: no padding, odd irfft length
+        ((45, 81), (12, 12)),   # both sides odd and 5-smooth
+        ((47, 73), (8, 11)),    # rough sides padded to 48 x 75
+        ((480, 640), (45, 45)),  # a full-frame acquisition map
+    ])
+    def test_equals_plain_rfft2_reference(self, rng, frame_shape, shape):
+        fh, fw = frame_shape
+        frame = Frame(rng.integers(0, 256, frame_shape, dtype=np.uint8))
+        stats = WindowStats(frame, window(0, 0, fw, fh), shape)
+        tzm = Patch(rng.uniform(0.0, 255.0, shape)).zm_pixels
+        s = stats.fft_shape
+        assert s == (_fast_len(fh), _fast_len(fw))
+        wh, ww = stats.energy.shape
+        want = np.fft.irfft2(np.fft.rfft2(stats.g, s) * np.conj(np.fft.rfft2(tzm, s)), s)
+        got = _fft_numerator(stats, tzm)
+        assert got.shape == (wh, ww)
+        assert np.max(np.abs(got - want[:wh, :ww])) <= 1e-12 * np.max(np.abs(want))
+
+    def test_maps_leave_caller_state_unchanged(self, rng):
+        shape = (9, 7)
+        frame = Frame(rng.uniform(0, 255, (60, 75)))
+        win = window(0, 0, 75, 60)
+        templates = [Patch(rng.uniform(0, 255, shape)) for _ in range(2)]
+        zm_before = [t.zm_pixels.copy() for t in templates]
+        stats = WindowStats(frame, win, shape)
+        spectrum = stats.spectrum.copy()
+        shared = []
+        for template in templates:
+            num = _fft_numerator(stats, template.zm_pixels)
+            num_before = num.copy()
+            shared.append(stats.normalize(num, template).scores)
+            assert np.array_equal(num, num_before)
+        assert np.array_equal(stats.spectrum, spectrum)
+        for template, zm in zip(templates, zm_before):
+            assert np.array_equal(template.zm_pixels, zm)
+        for template, scores in zip(templates, shared):
+            assert np.array_equal(scores, fft_map(frame, template, win).scores, equal_nan=True)
+
     def test_stats_for_another_shape_rejected(self, rng):
         frame = Frame(rng.uniform(0, 255, (30, 30)))
         stats = WindowStats(frame, window(0, 0, 30, 30), (5, 6))

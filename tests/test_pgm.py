@@ -55,6 +55,21 @@ def test_truncated_pixels(tmp_path):
         pgm.read_pgm(str(p))
 
 
+@pytest.mark.parametrize("header, message", [
+    (b"P5\n4.5 4\n255\n", "PGM width '4.5' is not a positive integer"),
+    (b"P5\n4 four\n255\n", "PGM height 'four' is not a positive integer"),
+    (b"P5\n4 4\n2e2\n", "PGM maxval '2e2' is not a positive integer"),
+    (b"P5\n-8 4\n255\n", "PGM width '-8' is not a positive integer"),
+    (b"P5\n0 0\n255\n", "PGM width '0' is not a positive integer"),
+])
+def test_bad_header_field_names_file(tmp_path, header, message):
+    p = tmp_path / "bad.pgm"
+    p.write_bytes(header + bytes(16))
+    with pytest.raises(ValueError) as e:
+        pgm.read_pgm(str(p))
+    assert str(e.value) == f"{p}: {message}"
+
+
 class TestSequences:
     def _frames(self, rng, n=4):
         return [Frame(rng.integers(0, 256, (6, 8)).astype(float),
