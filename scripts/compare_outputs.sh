@@ -21,7 +21,10 @@
 #     stdout, since both hold timings;
 # keeping every command's stdout, stderr and exit code unless noted. It then
 # compares the two result trees, without the input files, with `diff -r` and
-# exits 0 when they match, 1 when they differ and 2 on a usage error.
+# exits 0 when they match, 1 when they differ and 2 on a usage error. When
+# they differ it lists each differing file: for a CSV, the changed columns
+# with the largest absolute difference in each, and how many rows changed;
+# for any other file, the first lines of its diff.
 set -u
 
 if [ $# -ne 2 ] || [ ! -d "$1/src" ] || [ ! -d "$2/src" ]; then
@@ -60,6 +63,67 @@ with open(path, "w") as f:
 ' "$1" "$2"
 }
 
+# list_differences PARENT_TREE CHANGE_TREE: name each file that differs
+# between the two result trees and say how; a CSV by column, so that a change
+# in last digits reads as its columns, row count and largest difference.
+list_differences() {
+    python3 -c '
+import difflib, os, sys
+
+def files(root):
+    return {os.path.relpath(os.path.join(d, f), root)
+            for d, _, names in os.walk(root) for f in names}
+
+def csv_changes(a, b):
+    """(rows changed, {column: largest |difference| or None if not numeric})"""
+    rows_a = [line.split(",") for line in a.decode().splitlines()]
+    rows_b = [line.split(",") for line in b.decode().splitlines()]
+    if (len(rows_a) != len(rows_b) or rows_a[0] != rows_b[0]
+            or any(len(x) != len(y) for x, y in zip(rows_a, rows_b))):
+        return None
+    rows, columns = 0, {}
+    for x, y in zip(rows_a[1:], rows_b[1:]):
+        rows += x != y
+        for name, p, q in zip(rows_a[0], x, y):
+            if p != q:
+                try:
+                    d = abs(float(q) - float(p))
+                except ValueError:
+                    d = None
+                old = columns.get(name, 0.0)
+                columns[name] = None if d is None or old is None else max(old, d)
+    if not columns:  # the bytes differ outside the cells
+        return None
+    return rows, len(rows_a) - 1, columns
+
+parent, change = sys.argv[1:]
+for rel in sorted(files(parent) | files(change)):
+    paths = [os.path.join(root, rel) for root in (parent, change)]
+    if not all(os.path.isfile(p) for p in paths):
+        side = "parent" if os.path.isfile(paths[0]) else "change"
+        print(f"{rel}: only in {side}")
+        continue
+    a, b = (open(p, "rb").read() for p in paths)
+    if a == b:
+        continue
+    summary = csv_changes(a, b) if rel.endswith(".csv") else None
+    if summary is not None:
+        rows, total, columns = summary
+        cells = ", ".join(f"{name} (max |diff| {d:.3g})" if d is not None
+                          else f"{name} (not numeric)" for name, d in columns.items())
+        print(f"{rel}: {rows} of {total} rows changed; columns {cells}")
+        continue
+    print(f"{rel}: differs")
+    try:
+        lines = list(difflib.unified_diff(a.decode().splitlines(), b.decode().splitlines(),
+                                          "parent", "change", lineterm=""))
+    except UnicodeDecodeError:
+        continue
+    for line in lines[:12]:
+        print("    " + line)
+' "$1" "$2"
+}
+
 # run_matrix CHECKOUT OUT: run the matrix inside OUT by relative paths, so
 # that a message naming a file reads the same for both checkouts.
 run_matrix() (
@@ -94,10 +158,10 @@ print(",".join(str(v) for v in simulator.SceneRenderer(scenario).target_rect_fra
 
 run_matrix "$parent" "$work/parent"
 run_matrix "$change" "$work/change"
-if (cd "$work" && diff -r parent change >diff.txt 2>&1); then
+if (cd "$work" && diff -r parent change >/dev/null 2>&1); then
     echo "outputs identical: $(find "$work/change" -type f | wc -l) files"
     exit 0
 fi
-head -50 "$work/diff.txt"
+list_differences "$work/parent" "$work/change"
 echo "outputs differ" >&2
 exit 1

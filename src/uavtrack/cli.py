@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import gc
 import itertools
 import os
 import statistics
@@ -185,10 +186,16 @@ class _Clip:
         return cls(scenario, base, boxes, renderer.target_rect_frame0())
 
     def frames(self) -> Iterator[tuple[Frame, None]]:
-        """The clip's frames, each rebuilt from its 8-bit raster when asked for."""
+        """The clip's frames, each rebuilt when asked for in one raster that
+        they share, as a camera reuses its frame buffer: the previous
+        frame's box is restored from the first raster and this frame's
+        pixels are pasted. A frame is valid until the next is asked for."""
+        raster = self.base.copy()
+        box = (slice(0, 0), slice(0, 0))
         for k, (y0, x0, pixels, ts) in enumerate(self.boxes):
-            raster = self.base.copy()
-            raster[y0:y0 + pixels.shape[0], x0:x0 + pixels.shape[1]] = pixels
+            raster[box] = self.base[box]
+            box = (slice(y0, y0 + pixels.shape[0]), slice(x0, x0 + pixels.shape[1]))
+            raster[box] = pixels
             yield Frame(raster, timestamp=ts, frame_index=k), None
 
     def track(self, cfg: TrackerConfig) -> Iterator[FrameRecord]:
@@ -207,18 +214,33 @@ def run_benchmark(cfg: TrackerConfig, sizes: list[tuple[int, int]],
     the raster, frame construction, matching, filtering and gimbal
     stepping. Each of ``BENCH_PASSES`` passes tracks every size in
     lockstep, one frame of each in turn, so drift in machine speed hits
-    every size alike; a row reports the median fps over the passes. Rows
-    are sorted by patch area.
+    every size alike. Each turn starts from the next size, so the cost of
+    a place in the turn hits every size alike too: the first frame of a
+    turn costs more, and so does a frame-0 lock-on late in the first turn.
+    As ``timeit`` does, a pass runs with Python's cyclic garbage collector
+    paused, after a collection: otherwise a collection of what every size
+    allocated is charged to whichever size's frame it falls in. A row
+    reports the median fps over the passes. Rows are sorted by patch area.
     """
     clips = [_Clip.render(w, h, n_frames) for w, h in sizes]
     fps: list[list[float]] = [[] for _ in sizes]
-    for _ in range(BENCH_PASSES):
+    for p in range(BENCH_PASSES):
         ms = [0.0] * len(sizes)
         evals = [0] * len(sizes)
-        for records in zip(*(clip.track(cfg) for clip in clips)):
-            for i, r in enumerate(records):
-                ms[i] += r.wall_ms
-                evals[i] += r.templates_evaluated
+        runs = [clip.track(cfg) for clip in clips]
+        gc.collect()
+        was_enabled = gc.isenabled()
+        gc.disable()
+        try:
+            for k in range(len(clips[0].boxes)):
+                for j in range(len(runs)):
+                    i = (p + k + j) % len(runs)
+                    r = next(runs[i])
+                    ms[i] += r.wall_ms
+                    evals[i] += r.templates_evaluated
+        finally:
+            if was_enabled:
+                gc.enable()
         for i, clip in enumerate(clips):
             fps[i].append(len(clip.boxes) * 1e3 / ms[i])
     rows = [BenchmarkRow(patch_width=w, patch_height=h, frames=len(clip.boxes),

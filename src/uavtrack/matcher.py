@@ -7,18 +7,22 @@ search window. The fast path is required to agree with the oracle to 1e-9
 everywhere.
 
 The fast path splits in two. ``WindowStats`` holds what depends only on the
-frame, the window and the template shape: the mean-centred region, its
-integral-image energies and, built on first use, the placement matrix and
-the region's spectrum. ``detect`` builds it once per frame and shares it
-across the bank. A frame may keep 8-bit pixels; ``WindowStats`` converts
-only the clamped window to float64, and since sums of integers are exact in
-float64 its statistics, and so every score, equal those of the same frame
-held as float64. The zero-mean numerator is then computed per template, by
-cost (Lewis 1995, *Fast Normalized Cross-Correlation*): one matrix-vector
-product with the shared placement matrix while placements x template area
-stays within ``_DIRECT_MAX_MACS``, which holds every steady-state window
-(about 4e5), and FFT cross-correlation of the region, padded to a 5-smooth
-size, beyond it (full-frame acquisition, windows grown by a long miss). The
+frame, the window and the template shape: the mean-centred region, the
+zero-mean energy of every placement and, built on first use, the placement
+matrix and the region's spectrum. ``detect`` builds it once per frame and
+shares it across the bank. The placement sums behind the energies are
+Lewis's (1995, *Fast Normalized Cross-Correlation*) running sums, taken by
+cost: two banded 0/1 matrix products per plane while their multiply-adds
+stay within ``_DIRECT_MAX_MACS``, which holds every steady-state window, and
+integral images beyond it (full-frame acquisition, windows grown by a long
+miss, a tiny canvas in a large window). A frame may keep 8-bit pixels;
+``WindowStats`` converts only the clamped window to float64, and since sums
+of integers are exact in float64 its statistics, and so every score, equal
+those of the same frame held as float64. The zero-mean numerator is then
+computed per template, also by cost: one matrix-vector product with the
+shared placement matrix while placements x template area stays within
+``_DIRECT_MAX_MACS`` (steady-state windows need about 4e5), and FFT
+cross-correlation of the region, padded to a 5-smooth size, beyond it. The
 region's spectrum is held transposed, so every FFT pass runs along
 contiguous rows. On a 640x480 frame with a 45x45 canvas (5.3e8 multiply-adds
 for the direct product) one FFT map takes about 4.8 ms and a sweep frame of
@@ -57,7 +61,8 @@ _FLAT_ENERGY_TOL = 1e-3
 # the FFT numerator. It also caps the direct path's placement matrix, one
 # float64 per multiply-add, at 16 MB. Steady-state windows stay well below
 # it (about 4e5); full-frame acquisition and windows grown by a long miss
-# exceed it.
+# exceed it. The same budget bounds the banded products behind a window's
+# energies, which cost less than integral images within it.
 _DIRECT_MAX_MACS = 2_000_000
 
 
@@ -158,11 +163,14 @@ class WindowStats:
 
     Built once per frame and window for one template shape and shared by
     every bank template tried on that frame (all bank templates share one
-    canvas). Holds the clamped region centred on its mean, the integral-image
-    zero-mean ``energy`` of every placement and the ``defined`` mask of
-    placements whose content is not constant. What only one numerator needs
-    is built on its first use: the placement matrix for the direct product
-    and the region's spectrum for the FFT.
+    canvas). Holds the clamped region ``g`` centred on its mean, the
+    zero-mean ``energy`` of every placement, NaN where the content is
+    constant, and whether the numerator is the ``direct`` product. The
+    placement sums behind ``energy`` come from banded products while their
+    ``wh*w*(h+ww)`` multiply-adds fit ``_DIRECT_MAX_MACS``, and from integral
+    images beyond it; the two agree to rounding. What only one numerator
+    needs is built on its first use: the placement matrix for the direct
+    product and the region's spectrum for the FFT.
     """
 
     def __init__(self, frame: Frame, window: "SearchWindow", shape: tuple[int, int]):
@@ -179,22 +187,31 @@ class WindowStats:
         # Centering on the region mean conditions the s2 - s1^2/n subtraction.
         # It is also where an 8-bit region becomes float64: integer sums are
         # exact in float64, so the result equals that of a float64 frame.
-        g = region - region.mean()
+        g = region - _mean(region)
 
-        s = _integral_image(g, g * g)
-        wh = g.shape[0] - th + 1
-        ww = g.shape[1] - tw + 1
-        win_sum, energy = (_box_sums(plane, th, tw, wh, ww) for plane in s)
+        h, w = g.shape
+        wh, ww = h - th + 1, w - tw + 1
+        if wh * w * (h + ww) <= _DIRECT_MAX_MACS:
+            # Box sums as banded products: rows @ a sums each run of th rows
+            # of a, and @ cols each run of tw columns of that.
+            rows = _band(wh, h, th)
+            cols = rows.T if (th, h) == (tw, w) else _band(ww, w, tw).T
+            win_sum = rows @ g @ cols
+            energy = rows @ (g * g) @ cols
+        else:
+            s = _integral_image(g, g * g)
+            win_sum, energy = (_box_sums(plane, th, tw, wh, ww) for plane in s)
         win_sum *= win_sum
         win_sum /= th * tw
         energy -= win_sum
-        np.maximum(energy, 0.0, out=energy)
+        # A NaN energy gives a NaN score, with no floating-point warning.
+        energy[energy <= _FLAT_ENERGY_TOL] = np.nan
 
         self.shape = (th, tw)
         self.x0, self.y0 = x0, y0
         self.g = g
         self.energy = energy
-        self.defined = energy > _FLAT_ENERGY_TOL
+        self.direct = energy.size * th * tw <= _DIRECT_MAX_MACS
 
     @functools.cached_property
     def placements(self) -> np.ndarray:
@@ -229,11 +246,24 @@ class WindowStats:
         """Score map from a zero-mean numerator over this window's placements."""
         scores = np.multiply(self.energy, template.zm_norm ** 2)
         np.sqrt(scores, out=scores)
-        # A NaN denominator gives a NaN score, with no floating-point warning,
-        # and costs less than a masked divide.
-        scores[~self.defined] = np.nan
         np.divide(num, scores, out=scores)
         return CorrelationMap(scores=scores, x0=self.x0, y0=self.y0)
+
+
+def _mean(a: np.ndarray) -> float:
+    """``float(a.mean())``, bit for bit: the reduction that ``mean`` calls,
+    without its argument handling."""
+    return float(np.add.reduce(a, axis=None, dtype=np.float64) / a.size)
+
+
+def _band(n: int, m: int, k: int) -> np.ndarray:
+    """``(n, m)`` 0/1 matrix, ``m = n + k - 1``, whose row ``i`` holds ones in
+    columns ``i .. i + k - 1``: ``band @ a`` sums every run of ``k`` rows of
+    ``a``. The ones are written through one view of the band's diagonals."""
+    band = np.zeros((n, m))
+    step = band.strides[1]
+    np.ndarray((n, k), band.dtype, band, 0, (band.strides[0] + step, step))[...] = 1.0
+    return band
 
 
 def _integral_image(*planes: np.ndarray) -> np.ndarray:
@@ -308,13 +338,13 @@ def zmncc_fast(frame: Frame, template: Patch, window: "SearchWindow",
                stats: Optional[WindowStats] = None) -> CorrelationMap:
     """ZMNCC score map over every placement of ``template`` in ``window``.
 
-    Window sums and sums of squares come from integral images built over
-    the (mean-centered) window region, so per-placement statistics cost
-    O(1). The zero-mean numerator is a direct O(template area) product per
-    placement while placements x template area stays within
-    ``_DIRECT_MAX_MACS``, and FFT cross-correlation beyond. Accumulation is
-    float64 throughout. ``stats``, if given, must have been built from the
-    same ``frame`` and ``window`` for the template's shape.
+    Window sums and sums of squares come from ``WindowStats``, built over
+    the (mean-centered) window region once per frame. The zero-mean
+    numerator is a direct O(template area) product per placement while
+    placements x template area stays within ``_DIRECT_MAX_MACS``, and FFT
+    cross-correlation beyond. Accumulation is float64 throughout.
+    ``stats``, if given, must have been built from the same ``frame`` and
+    ``window`` for the template's shape.
     """
     if stats is None:
         stats = WindowStats(frame, window, template.pixels.shape)
@@ -324,7 +354,7 @@ def zmncc_fast(frame: Frame, template: Patch, window: "SearchWindow",
             f"{template.pixels.shape} template")
     if template.is_constant:
         raise UndefinedScore("template is constant")
-    if stats.energy.size * template.pixels.size <= _DIRECT_MAX_MACS:
+    if stats.direct:
         num = _direct_numerator(stats, template.zm_pixels)
     else:
         num = _fft_numerator(stats, template.zm_pixels)
@@ -336,13 +366,13 @@ def _centroid_cluster(us: np.ndarray, vs: np.ndarray, scores: np.ndarray,
     """Centroid of matching placements; multimodal maps keep only the
     cluster around the maximum score (points within 2 x template diagonal).
     """
-    cu, cv = float(us.mean()), float(vs.mean())
+    cu, cv = _mean(us), _mean(vs)
     d = np.hypot(us - cu, vs - cv)
     if np.any(d > 2.0 * diag):
         k = int(np.argmax(scores))
         keep = np.hypot(us - us[k], vs - vs[k]) <= 2.0 * diag
         us, vs, scores = us[keep], vs[keep], scores[keep]
-        cu, cv = float(us.mean()), float(vs.mean())
+        cu, cv = _mean(us), _mean(vs)
     return cu, cv, float(scores.max())
 
 

@@ -1,6 +1,8 @@
 import csv
+import gc
 import os
 
+import numpy as np
 import pytest
 
 from conftest import render_open_loop, standard_scenario
@@ -261,6 +263,40 @@ class TestBenchmarkCommand:
         records = list(clip.track(TrackerConfig()))
         assert calls == [1]
         assert [r.frame_index for r in records] == list(range(6))
+
+    def test_clip_frames_equal_the_rendered_frames(self):
+        # Frames share one raster, rebuilt in place: each must hold exactly
+        # its rendered pixels while it is current, with no trace of the
+        # previous frame's target.
+        clip = cli._Clip.render(20, 22, n_frames=40)
+        renderer = simulator.SceneRenderer(clip.scenario)
+        for k, (frame, _) in enumerate(clip.frames()):
+            rendered, _ = renderer.render(k)
+            np.testing.assert_array_equal(frame.pixels, rendered.pixels.astype(np.uint8))
+            assert frame.frame_index == k and frame.timestamp == rendered.timestamp
+
+    def test_passes_rotate_the_turn_with_the_collector_paused(self, monkeypatch):
+        # Frame k of pass p starts its turn at size (p + k) mod n, no
+        # collection can fall in a timed frame, and the collector is left
+        # as the caller had it.
+        calls = []
+        process = Tracker.process
+        monkeypatch.setattr(Tracker, "process",
+                            lambda self, frame: calls.append((self.canvas, gc.isenabled()))
+                            or process(self, frame))
+        sizes = [(20, 22), (27, 28)]
+        canvases = [(30, 30), (39, 39)]
+        rows = cli.run_benchmark(TrackerConfig(), sizes, n_frames=3)
+        assert [r.frames for r in rows] == [3, 3]
+        assert calls == [(canvases[(p + k + j) % 2], False)
+                         for p in range(cli.BENCH_PASSES) for k in range(3) for j in range(2)]
+        assert gc.isenabled()
+        gc.disable()
+        try:
+            cli.run_benchmark(TrackerConfig(), sizes[:1], n_frames=3)
+            assert not gc.isenabled()
+        finally:
+            gc.enable()
 
     @pytest.mark.parametrize("size", cli.DEFAULT_BENCH_SIZES)
     def test_short_clip_tracks_every_frame(self, size):

@@ -396,6 +396,77 @@ class TestIntegralImage:
 
 
 @st.composite
+def energy_cases(draw):
+    """An 8-bit or float64 frame, maybe holding a flat block, a canvas shape
+    and a window, with the banded products' multiply-adds within the budget
+    (frames up to 40 px larger than the canvas, windows that may overhang
+    the frame edge) or beyond it (frames 130-170 px larger, windows up to
+    8 px inside or outside each edge). Returns the case and whether it lies
+    beyond the budget."""
+    th = draw(st.integers(2, 45))
+    tw = draw(st.integers(2, 45))
+    beyond = draw(st.booleans())
+    if beyond:
+        fh = th + draw(st.integers(130, 170))
+        fw = tw + draw(st.integers(130, 170))
+        x0, y0, dx, dy = (draw(st.integers(-8, 8)) for _ in range(4))
+        win = window(x0, y0, fw + dx, fh + dy)
+    else:
+        fh = th + draw(st.integers(0, 40))
+        fw = tw + draw(st.integers(0, 40))
+        win = draw_window(draw, fh, fw, th, tw)
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    if draw(st.booleans()):
+        pixels = rng.integers(0, 256, (fh, fw), dtype=np.uint8)
+    else:
+        pixels = rng.uniform(0.0, 255.0, (fh, fw))
+    if draw(st.booleans()):
+        bh = int(rng.integers(th, fh + 1))
+        bw = int(rng.integers(tw, fw + 1))
+        by = int(rng.integers(0, fh - bh + 1))
+        bx = int(rng.integers(0, fw - bw + 1))
+        pixels[by:by + bh, bx:bx + bw] = rng.integers(0, 256)
+    return Frame(pixels), (th, tw), win, beyond
+
+
+class TestWindowEnergies:
+    @settings(max_examples=100, deadline=None)
+    @given(energy_cases())
+    def test_banded_products_equal_integral_image(self, case):
+        frame, shape, win, beyond = case
+        stats = WindowStats(frame, win, shape)
+        h, w = stats.g.shape
+        wh, ww = stats.energy.shape
+        assert (wh * w * (h + ww) > matcher._DIRECT_MAX_MACS) == beyond
+        energies = []
+        with pytest.MonkeyPatch.context() as mp:
+            for limit in (math.inf, -1):  # banded products, integral image
+                mp.setattr(matcher, "_DIRECT_MAX_MACS", limit)
+                energies.append(WindowStats(frame, win, shape).energy)
+        banded, integral = energies
+        assert np.array_equal(stats.energy, integral if beyond else banded, equal_nan=True)
+        assert np.array_equal(np.isnan(banded), np.isnan(integral))
+        ok = ~np.isnan(banded)
+        total = np.add.reduce(stats.g * stats.g, axis=None)
+        assert np.all(np.abs(banded[ok] - integral[ok]) <= 1e-12 * total)
+
+    def test_small_canvas_in_large_window_takes_integral_image(self, rng, monkeypatch):
+        calls = []
+
+        def recording(*planes):
+            calls.append(planes[0].shape)
+            return _integral_image(*planes)
+
+        monkeypatch.setattr(matcher, "_integral_image", recording)
+        frame = Frame(rng.integers(0, 256, (400, 500), dtype=np.uint8))
+        stats = WindowStats(frame, window(0, 0, 500, 400), (3, 3))
+        assert calls == [(400, 500)]
+        assert stats.direct  # the numerator stays the direct product
+        WindowStats(frame, window(0, 0, 51, 51), (45, 45))  # a steady window
+        assert calls == [(400, 500)]
+
+
+@st.composite
 def uint8_cases(draw):
     """An 8-bit raster, a two-template bank whose second template is cut from
     the raster, and a window that may overhang the frame edge."""
@@ -424,8 +495,8 @@ class TestEightBitFrames:
         f8, f64 = Frame(raster), Frame(raster.astype(np.float64))
         shape = bank.templates[0].pixels.shape
         s8, s64 = WindowStats(f8, win, shape), WindowStats(f64, win, shape)
-        for name in ("g", "energy", "defined"):
-            assert np.array_equal(getattr(s8, name), getattr(s64, name)), name
+        for name in ("g", "energy"):  # a flat placement's energy is NaN
+            assert np.array_equal(getattr(s8, name), getattr(s64, name), equal_nan=True), name
         for template in bank.templates:
             assert np.array_equal(zmncc_fast(f8, template, win).scores,
                                   zmncc_fast(f64, template, win).scores, equal_nan=True)
@@ -443,8 +514,8 @@ class TestEightBitFrames:
         f8, f64 = Frame(raster), Frame(raster.astype(np.float64))
         s8, s64 = WindowStats(f8, win, template.pixels.shape), \
             WindowStats(f64, win, template.pixels.shape)
-        for name in ("g", "energy", "defined"):
-            assert np.array_equal(getattr(s8, name), getattr(s64, name)), name
+        for name in ("g", "energy"):
+            assert np.array_equal(getattr(s8, name), getattr(s64, name), equal_nan=True), name
         assert np.array_equal(zmncc_fast(f8, template, win, s8).scores,
                               zmncc_fast(f64, template, win, s64).scores, equal_nan=True)
 
