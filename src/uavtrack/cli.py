@@ -11,7 +11,6 @@ import dataclasses
 import gc
 import itertools
 import os
-import statistics
 import sys
 from dataclasses import dataclass
 from typing import Iterator
@@ -219,33 +218,35 @@ def run_benchmark(cfg: TrackerConfig, sizes: list[tuple[int, int]],
     turn costs more, and so does a frame-0 lock-on late in the first turn.
     As ``timeit`` does, a pass runs with Python's cyclic garbage collector
     paused, after a collection: otherwise a collection of what every size
-    allocated is charged to whichever size's frame it falls in. A row
-    reports the median fps over the passes. Rows are sorted by patch area.
+    allocated is charged to whichever size's frame it falls in. A row's fps
+    is its frame count over the sum of each frame's median ``wall_ms`` over
+    the passes: a stall from another process on the machine lands on one
+    size's frame in one pass, and the per-frame median drops it, while the
+    sum stays a wall-clock tracking speed. Rows are sorted by patch area.
     """
     clips = [_Clip.render(w, h, n_frames) for w, h in sizes]
-    fps: list[list[float]] = [[] for _ in sizes]
+    ms = np.zeros((len(sizes), BENCH_PASSES, len(clips[0].boxes)))
     for p in range(BENCH_PASSES):
-        ms = [0.0] * len(sizes)
         evals = [0] * len(sizes)
         runs = [clip.track(cfg) for clip in clips]
         gc.collect()
         was_enabled = gc.isenabled()
         gc.disable()
         try:
-            for k in range(len(clips[0].boxes)):
+            for k in range(ms.shape[2]):
                 for j in range(len(runs)):
                     i = (p + k + j) % len(runs)
                     r = next(runs[i])
-                    ms[i] += r.wall_ms
+                    ms[i, p, k] = r.wall_ms
                     evals[i] += r.templates_evaluated
         finally:
             if was_enabled:
                 gc.enable()
-        for i, clip in enumerate(clips):
-            fps[i].append(len(clip.boxes) * 1e3 / ms[i])
+    frame_ms = np.median(ms, axis=1).sum(axis=1)
     rows = [BenchmarkRow(patch_width=w, patch_height=h, frames=len(clip.boxes),
-                         fps=statistics.median(rates), mean_templates=n / len(clip.boxes))
-            for (w, h), clip, rates, n in zip(sizes, clips, fps, evals)]
+                         fps=len(clip.boxes) * 1e3 / float(total),
+                         mean_templates=n / len(clip.boxes))
+            for (w, h), clip, total, n in zip(sizes, clips, frame_ms, evals)]
     return sorted(rows, key=lambda r: r.area)
 
 
