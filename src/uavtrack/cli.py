@@ -219,10 +219,9 @@ def run_benchmark(cfg: TrackerConfig, sizes: list[tuple[int, int]],
     As ``timeit`` does, a pass runs with Python's cyclic garbage collector
     paused, after a collection: otherwise a collection of what every size
     allocated is charged to whichever size's frame it falls in. A row's fps
-    is its frame count over the sum of each frame's median ``wall_ms`` over
-    the passes: a stall from another process on the machine lands on one
-    size's frame in one pass, and the per-frame median drops it, while the
-    sum stays a wall-clock tracking speed. Rows are sorted by patch area.
+    is its frames over the sum of each frame's median ``wall_ms`` over the
+    passes, which drops a stall that another process causes in one pass and
+    stays a wall-clock speed. Rows are sorted by patch area.
     """
     clips = [_Clip.render(w, h, n_frames) for w, h in sizes]
     ms = np.zeros((len(sizes), BENCH_PASSES, len(clips[0].boxes)))

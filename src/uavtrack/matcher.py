@@ -8,25 +8,26 @@ everywhere.
 
 The fast path splits in two. ``WindowStats`` holds what depends only on the
 frame, the window and the template shape: the mean-centred region, the
-zero-mean energy of every placement and, built on first use, the placement
-matrix and the region's spectrum. ``detect`` builds it once per frame and
-shares it across the bank. The placement sums behind the energies are
-Lewis's (1995, *Fast Normalized Cross-Correlation*) running sums, taken by
-cost: two banded 0/1 matrix products per plane while their multiply-adds
-stay within ``_DIRECT_MAX_MACS``, which holds every steady-state window, and
-integral images beyond it (full-frame acquisition, windows grown by a long
+zero-mean energy of every placement and, built on first use, the region's
+spectrum. ``detect`` builds it once per frame and shares it across the
+bank. The placement sums behind the energies are Lewis's (1995, *Fast
+Normalized Cross-Correlation*) running sums, taken by cost: two banded 0/1
+matrix products per plane while their multiply-adds stay within
+``_DIRECT_MAX_MACS``, which holds every steady-state window, and integral
+images beyond it (full-frame acquisition, windows grown by a long
 miss, a tiny canvas in a large window). A frame may keep 8-bit pixels;
 ``WindowStats`` converts only the clamped window to float64, and since sums
 of integers are exact in float64 its statistics, and so every score, equal
 those of the same frame held as float64. The zero-mean numerator is then
-computed per template, also by cost: one matrix-vector product with the
-shared placement matrix while placements x template area stays within
-``_DIRECT_MAX_MACS`` (steady-state windows need about 4e5), and FFT
-cross-correlation of the region, padded to a 5-smooth size, beyond it. The
-region's spectrum is held transposed, so every FFT pass runs along
-contiguous rows. On a 640x480 frame with a 45x45 canvas (5.3e8 multiply-adds
-for the direct product) one FFT map takes about 4.8 ms and a sweep frame of
-seven maps about 48 ms (one thread of a 2-core Intel Xeon virtual machine).
+computed per template, also by cost: one matrix product of the region,
+read in place as overlapping row strips, with a block-Toeplitz form of the
+template while its multiply-adds stay within ``_DIRECT_MAX_MACS``
+(steady-state windows need at most about 7e5), and FFT cross-correlation of
+the region, padded to a 5-smooth size, beyond it. The region's spectrum is
+held transposed, so every FFT pass runs along contiguous rows. On a 640x480
+frame with a 45x45 canvas (7.5e9 multiply-adds for the strip product) one
+FFT map takes about 4.8 ms and a sweep frame of seven maps about 48 ms (one
+thread of a 2-core Intel Xeon virtual machine).
 """
 
 from __future__ import annotations
@@ -57,12 +58,12 @@ _BEST_FIRST = (0, -1, 1, -2, 2, 3, 4)
 # yields an energy >= ~1 while float residue on a flat window stays < 1e-4.
 _FLAT_ENERGY_TOL = 1e-3
 
-# Windows with more placements x template-area multiply-adds than this take
-# the FFT numerator. It also caps the direct path's placement matrix, one
-# float64 per multiply-add, at 16 MB. Steady-state windows stay well below
-# it (about 4e5); full-frame acquisition and windows grown by a long miss
-# exceed it. The same budget bounds the banded products behind a window's
-# energies, which cost less than integral images within it.
+# Windows whose strip product needs more multiply-adds than this (placement
+# rows x strip length x placement columns) take the FFT numerator. Steady
+# windows need at most about 7e5; near 1e6 the strip product costs as much
+# as a frame's first FFT map, and only windows grown by a miss lie between.
+# The same budget bounds the banded products behind a window's energies,
+# which cost less than integral images within it.
 _DIRECT_MAX_MACS = 2_000_000
 
 
@@ -165,12 +166,12 @@ class WindowStats:
     every bank template tried on that frame (all bank templates share one
     canvas). Holds the clamped region ``g`` centred on its mean, the
     zero-mean ``energy`` of every placement, NaN where the content is
-    constant, and whether the numerator is the ``direct`` product. The
-    placement sums behind ``energy`` come from banded products while their
-    ``wh*w*(h+ww)`` multiply-adds fit ``_DIRECT_MAX_MACS``, and from integral
-    images beyond it; the two agree to rounding. What only one numerator
-    needs is built on its first use: the placement matrix for the direct
-    product and the region's spectrum for the FFT.
+    constant, and whether the numerator is the ``direct`` strip product,
+    which takes ``wh*th*w*ww`` multiply-adds. The placement sums behind
+    ``energy`` come from banded products while their ``wh*w*(h+ww)``
+    multiply-adds fit ``_DIRECT_MAX_MACS``, and from integral images beyond
+    it; the two agree to rounding. The region's spectrum, which only the FFT
+    numerator needs, is built on its first use.
     """
 
     def __init__(self, frame: Frame, window: "SearchWindow", shape: tuple[int, int]):
@@ -211,18 +212,7 @@ class WindowStats:
         self.x0, self.y0 = x0, y0
         self.g = g
         self.energy = energy
-        self.direct = energy.size * th * tw <= _DIRECT_MAX_MACS
-
-    @functools.cached_property
-    def placements(self) -> np.ndarray:
-        """Every placement's pixels as one row of a C-contiguous
-        ``(placements, template area)`` matrix, in row-major placement order."""
-        th, tw = self.shape
-        wh, ww = self.energy.shape
-        g = self.g  # C-contiguous, so its buffer backs a strided view
-        view = np.ndarray((wh, ww, th, tw), g.dtype, g, 0, g.strides * 2)
-        view.flags.writeable = False
-        return view.reshape(-1, th * tw)  # copies the strided view
+        self.direct = wh * th * w * ww <= _DIRECT_MAX_MACS
 
     @functools.cached_property
     def fft_shape(self) -> tuple[int, int]:
@@ -307,11 +297,20 @@ def _fast_len(n: int) -> int:
 
 
 def _direct_numerator(stats: WindowStats, tzm: np.ndarray) -> np.ndarray:
-    """Zero-mean numerator as a direct product at every placement: the
-    window's shared placement matrix times the flattened template."""
+    """Zero-mean numerator as one product of row strips and a block-Toeplitz
+    template (MEC's lowering: Cho & Brand, ICML 2017). Rows ``v .. v+th-1``
+    of the C-contiguous centred region are one run, so the region read as a
+    ``(wh, th*w)`` matrix with row stride ``w`` needs no copy; the template's
+    ``T[u, i*w + u + j] = t[i, j]`` is written through one strided view."""
     th, tw = tzm.shape
     wh, ww = stats.energy.shape
-    return np.dot(stats.placements, tzm.reshape(th * tw, 1)).reshape(wh, ww)
+    w = stats.g.shape[1]
+    strips = np.ndarray((wh, th * w), stats.g.dtype, stats.g, 0, stats.g.strides)
+    strips.flags.writeable = False
+    toeplitz = np.zeros((ww, th, w))
+    su, si, sj = toeplitz.strides
+    np.ndarray((ww, th, tw), np.float64, toeplitz, 0, (su + sj, si, sj))[...] = tzm
+    return np.dot(strips, toeplitz.reshape(ww, th * w).T)
 
 
 def _fft_numerator(stats: WindowStats, tzm: np.ndarray) -> np.ndarray:
@@ -340,9 +339,9 @@ def zmncc_fast(frame: Frame, template: Patch, window: "SearchWindow",
 
     Window sums and sums of squares come from ``WindowStats``, built over
     the (mean-centered) window region once per frame. The zero-mean
-    numerator is a direct O(template area) product per placement while
-    placements x template area stays within ``_DIRECT_MAX_MACS``, and FFT
-    cross-correlation beyond. Accumulation is float64 throughout.
+    numerator is the direct strip product while its multiply-adds stay
+    within ``_DIRECT_MAX_MACS``, and FFT cross-correlation beyond.
+    Accumulation is float64 throughout.
     ``stats``, if given, must have been built from the same ``frame`` and
     ``window`` for the template's shape.
     """
