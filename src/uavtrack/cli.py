@@ -152,7 +152,8 @@ class BenchmarkRow:
 
 
 DEFAULT_BENCH_SIZES = [(27, 28), (20, 22), (38, 30), (30, 33)]
-BENCH_PASSES = 5
+# A multiple of the four default sizes: each frame takes each place in its turn equally often.
+BENCH_PASSES = 8
 
 
 @dataclass(frozen=True)
@@ -213,15 +214,16 @@ def run_benchmark(cfg: TrackerConfig, sizes: list[tuple[int, int]],
     the raster, frame construction, matching, filtering and gimbal
     stepping. Each of ``BENCH_PASSES`` passes tracks every size in
     lockstep, one frame of each in turn, so drift in machine speed hits
-    every size alike. Each turn starts from the next size, so the cost of
-    a place in the turn hits every size alike too: the first frame of a
-    turn costs more, and so does a frame-0 lock-on late in the first turn.
-    As ``timeit`` does, a pass runs with Python's cyclic garbage collector
+    every size alike. Each turn starts from the next size and odd passes
+    reverse it, so a size's frame takes each place in the turn alike and
+    does not always follow the same size: the first frame of a turn costs
+    more, and a lock-on's page faults depend on the lock-on before it. As
+    ``timeit`` does, a pass runs with Python's cyclic garbage collector
     paused, after a collection: otherwise a collection of what every size
     allocated is charged to whichever size's frame it falls in. A row's fps
     is its frames over the sum of each frame's median ``wall_ms`` over the
-    passes, which drops a stall that another process causes in one pass and
-    stays a wall-clock speed. Rows are sorted by patch area.
+    passes: a wall-clock speed without the stalls another process causes in
+    one pass. Rows are sorted by patch area.
     """
     clips = [_Clip.render(w, h, n_frames) for w, h in sizes]
     ms = np.zeros((len(sizes), BENCH_PASSES, len(clips[0].boxes)))
@@ -234,18 +236,17 @@ def run_benchmark(cfg: TrackerConfig, sizes: list[tuple[int, int]],
         try:
             for k in range(ms.shape[2]):
                 for j in range(len(runs)):
-                    i = (p + k + j) % len(runs)
+                    i = (p + k + (-j if p % 2 else j)) % len(runs)
                     r = next(runs[i])
                     ms[i, p, k] = r.wall_ms
                     evals[i] += r.templates_evaluated
         finally:
             if was_enabled:
                 gc.enable()
-    frame_ms = np.median(ms, axis=1).sum(axis=1)
+    fps = ms.shape[2] * 1e3 / np.median(ms, axis=1).sum(axis=1)
     rows = [BenchmarkRow(patch_width=w, patch_height=h, frames=len(clip.boxes),
-                         fps=len(clip.boxes) * 1e3 / float(total),
-                         mean_templates=n / len(clip.boxes))
-            for (w, h), clip, total, n in zip(sizes, clips, frame_ms, evals)]
+                         fps=float(rate), mean_templates=n / len(clip.boxes))
+            for (w, h), clip, rate, n in zip(sizes, clips, fps, evals)]
     return sorted(rows, key=lambda r: r.area)
 
 

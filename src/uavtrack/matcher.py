@@ -309,7 +309,7 @@ def _direct_numerator(stats: WindowStats, tzm: np.ndarray) -> np.ndarray:
     strips.flags.writeable = False
     toeplitz = np.zeros((ww, th, w))
     su, si, sj = toeplitz.strides
-    np.ndarray((ww, th, tw), np.float64, toeplitz, 0, (su + sj, si, sj))[...] = tzm
+    np.ndarray((ww, th, tw), toeplitz.dtype, toeplitz, 0, (su + sj, si, sj))[...] = tzm
     return np.dot(strips, toeplitz.reshape(ww, th * w).T)
 
 

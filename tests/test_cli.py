@@ -276,20 +276,20 @@ class TestBenchmarkCommand:
             assert frame.frame_index == k and frame.timestamp == rendered.timestamp
 
     def test_passes_rotate_the_turn_with_the_collector_paused(self, monkeypatch):
-        # Frame k of pass p starts its turn at size (p + k) mod n, no
-        # collection can fall in a timed frame, and the collector is left
-        # as the caller had it.
+        # Frame k of pass p starts its turn at size (p + k) mod n and odd
+        # passes go through the sizes in reverse, no collection can fall in
+        # a timed frame, and the collector is left as the caller had it.
         calls = []
         process = Tracker.process
         monkeypatch.setattr(Tracker, "process",
                             lambda self, frame: calls.append((self.canvas, gc.isenabled()))
                             or process(self, frame))
-        sizes = [(20, 22), (27, 28)]
-        canvases = [(30, 30), (39, 39)]
+        sizes = [(20, 22), (27, 28), (30, 33)]
+        canvases = [(30, 30), (39, 39), (45, 45)]
         rows = cli.run_benchmark(TrackerConfig(), sizes, n_frames=3)
-        assert [r.frames for r in rows] == [3, 3]
-        assert calls == [(canvases[(p + k + j) % 2], False)
-                         for p in range(cli.BENCH_PASSES) for k in range(3) for j in range(2)]
+        assert [r.frames for r in rows] == [3, 3, 3]
+        assert calls == [(canvases[(p + k + (-j if p % 2 else j)) % 3], False)
+                         for p in range(cli.BENCH_PASSES) for k in range(3) for j in range(3)]
         assert gc.isenabled()
         gc.disable()
         try:
