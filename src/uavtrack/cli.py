@@ -261,7 +261,7 @@ def format_benchmark(rows: list[BenchmarkRow]) -> str:
 
 def cmd_benchmark(args) -> int:
     cfg = resolve_config(args.config)
-    sizes = _parse_sizes(args.sizes) if args.sizes else DEFAULT_BENCH_SIZES
+    sizes = _parse_sizes(args.sizes) if args.sizes is not None else DEFAULT_BENCH_SIZES
     if args.frames < 1:
         raise ConfigError(f"--frames must be at least 1, got {args.frames}")
     for w, h in sizes:
@@ -278,6 +278,8 @@ def cmd_benchmark(args) -> int:
 
 
 def _parse_sizes(text: str) -> list[tuple[int, int]]:
+    if not text.strip():
+        raise ConfigError("--sizes is empty")
     sizes = []
     for item in text.split(","):
         item = item.strip().lower()
@@ -288,8 +290,6 @@ def _parse_sizes(text: str) -> list[tuple[int, int]]:
             sizes.append((int(w_str), int(h_str)))
         except ValueError:
             raise ConfigError(f"--sizes entries need integers, got '{item}'") from None
-    if not sizes:
-        raise ConfigError("--sizes is empty")
     return sizes
 
 

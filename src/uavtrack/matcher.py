@@ -11,11 +11,12 @@ frame, the window and the template shape: the mean-centred region, the
 zero-mean energy of every placement and, built on first use, the region's
 spectrum. ``detect`` builds it once per frame and shares it across the
 bank. The placement sums behind the energies are Lewis's (1995, *Fast
-Normalized Cross-Correlation*) running sums, taken by cost: two banded 0/1
-matrix products per plane while their multiply-adds stay within
-``_DIRECT_MAX_MACS``, which holds every steady-state window, and integral
-images beyond it (full-frame acquisition, windows grown by a long
-miss, a tiny canvas in a large window). A frame may keep 8-bit pixels;
+Normalized Cross-Correlation*) running sums, taken for every window as two
+banded 0/1 matrix products per plane, a tile of outputs at a time, so that
+no product exceeds ``_DIRECT_MAX_MACS`` multiply-adds. A steady-state
+window fits in one tile. Each sum adds only one template side of terms,
+which keeps a full-frame search's energies near exact where prefix sums
+over the whole frame would not be. A frame may keep 8-bit pixels;
 ``WindowStats`` converts only the clamped window to float64, and since sums
 of integers are exact in float64 its statistics, and so every score, equal
 those of the same frame held as float64. The zero-mean numerator is then
@@ -58,12 +59,12 @@ _BEST_FIRST = (0, -1, 1, -2, 2, 3, 4)
 # yields an energy >= ~1 while float residue on a flat window stays < 1e-4.
 _FLAT_ENERGY_TOL = 1e-3
 
-# Windows whose strip product needs more multiply-adds than this (placement
-# rows x strip length x placement columns) take the FFT numerator. Steady
-# windows need at most about 7e5; near 1e6 the strip product costs as much
-# as a frame's first FFT map, and only windows grown by a miss lie between.
-# The same budget bounds the banded products behind a window's energies,
-# which cost less than integral images within it.
+# The most multiply-adds of any one matrix product the matcher forms: the
+# banded box-sum products are tiled to fit it, and windows whose strip
+# product needs more (placement rows x strip length x placement columns)
+# take the FFT numerator. Steady windows need at most about 7e5; near 1e6 the
+# strip product costs as much as a frame's first FFT map, and only windows
+# grown by a miss lie between.
 _DIRECT_MAX_MACS = 2_000_000
 
 
@@ -168,10 +169,11 @@ class WindowStats:
     zero-mean ``energy`` of every placement, NaN where the content is
     constant, and whether the numerator is the ``direct`` strip product,
     which takes ``wh*th*w*ww`` multiply-adds. The placement sums behind
-    ``energy`` come from banded products while their ``wh*w*(h+ww)``
-    multiply-adds fit ``_DIRECT_MAX_MACS``, and from integral images beyond
-    it; the two agree to rounding. The region's spectrum, which only the FFT
-    numerator needs, is built on its first use.
+    ``energy`` come from banded products taken ``n`` placement rows at a
+    time (``n*(n+th-1)*w`` multiply-adds) and, within those, ``m`` placement
+    columns at a time (at most ``wh*(m+tw-1)*m``), with ``n`` and ``m`` the
+    largest that fit ``_DIRECT_MAX_MACS``. The region's spectrum, which only
+    the FFT numerator needs, is built on its first use.
     """
 
     def __init__(self, frame: Frame, window: "SearchWindow", shape: tuple[int, int]):
@@ -192,19 +194,20 @@ class WindowStats:
 
         h, w = g.shape
         wh, ww = h - th + 1, w - tw + 1
-        if wh * w * (h + ww) <= _DIRECT_MAX_MACS:
-            # Box sums as banded products: rows @ a sums each run of th rows
-            # of a, and @ cols each run of tw columns of that.
-            rows = _band(wh, h, th)
-            cols = rows.T if (th, h) == (tw, w) else _band(ww, w, tw).T
-            win_sum = rows @ g @ cols
-            energy = rows @ (g * g) @ cols
-        else:
-            s = _integral_image(g, g * g)
-            win_sum, energy = (_box_sums(plane, th, tw, wh, ww) for plane in s)
-        win_sum *= win_sum
-        win_sum /= th * tw
-        energy -= win_sum
+        # Box sums, a tile of placement rows at a time: rows @ a sums each run
+        # of th rows of a, and a @ cols each run of tw columns. Nothing
+        # frame-sized is allocated here but g and energy.
+        n, m = _tile(wh, th, w), _tile(ww, tw, wh)
+        rows = _band(n, n + th - 1, th)
+        cols = rows.T if (n, th) == (m, tw) else _band(m, m + tw - 1, tw).T
+        energy = np.empty((wh, ww))
+        for i in range(0, wh, n):
+            k = min(n, wh - i)
+            band, strip = rows[:k, :k + th - 1], g[i:i + k + th - 1]
+            win_sum = _box_sums(band, strip, cols, ww)
+            win_sum *= win_sum
+            win_sum /= th * tw
+            np.subtract(_box_sums(band, strip * strip, cols, ww), win_sum, out=energy[i:i + k])
         # A NaN energy gives a NaN score, with no floating-point warning.
         energy[energy <= _FLAT_ENERGY_TOL] = np.nan
 
@@ -256,32 +259,26 @@ def _band(n: int, m: int, k: int) -> np.ndarray:
     return band
 
 
-def _integral_image(*planes: np.ndarray) -> np.ndarray:
-    """Zero-padded integral images of equal-shaped planes, stacked:
-    ``s[p, i, j]`` is the sum of ``planes[p][:i, :j]``.
-
-    Accumulated in place, down the columns and then along the rows, which
-    adds each plane in the same order as
-    ``np.cumsum(np.cumsum(a, axis=0), axis=1)`` without its intermediate
-    arrays.
-    """
-    h, w = planes[0].shape
-    s = np.zeros((len(planes), h + 1, w + 1))
-    inner = s[:, 1:, 1:]
-    for p, a in enumerate(planes):
-        inner[p] = a
-    np.add.accumulate(inner, axis=1, out=inner)
-    np.add.accumulate(inner, axis=2, out=inner)
-    return s
+def _tile(outputs: int, k: int, depth: int) -> int:
+    """Outputs per tile of a banded product summing runs of ``k``: the most,
+    from 1 to ``outputs``, whose ``n*(n+k-1)*depth`` multiply-adds fit ``_DIRECT_MAX_MACS``."""
+    q = _DIRECT_MAX_MACS // depth
+    n = (math.isqrt((k - 1) ** 2 + 4 * q) - k + 1) // 2
+    return min(outputs, max(1, n))
 
 
-def _box_sums(s: np.ndarray, th: int, tw: int, wh: int, ww: int) -> np.ndarray:
-    """Sums over every ``th x tw`` box of the plane whose zero-padded
-    integral image is ``s``, each step into the one array it creates."""
-    box = np.subtract(s[th:th + wh, tw:tw + ww], s[:wh, tw:tw + ww])
-    box -= s[th:th + wh, :ww]
-    box += s[:wh, :ww]
-    return box
+def _box_sums(rows: np.ndarray, a: np.ndarray, cols: np.ndarray, ww: int) -> np.ndarray:
+    """``rows @ a @ cols``, the sums over every box of ``a`` for 0/1 bands,
+    the second product taken ``m = cols.shape[1]`` of ``ww`` columns at a time."""
+    row_sums = rows @ a
+    m, tw = cols.shape[1], cols.shape[0] - cols.shape[1] + 1
+    if m == ww:  # one tile holds every column
+        return row_sums @ cols
+    out = np.empty((len(row_sums), ww))
+    for j in range(0, ww, m):
+        k = min(m, ww - j)
+        np.matmul(row_sums[:, j:j + k + tw - 1], cols[:k + tw - 1, :k], out=out[:, j:j + k])
+    return out
 
 
 def _fast_len(n: int) -> int:

@@ -292,18 +292,19 @@ class SceneRenderer:
         return (tlx + mx, tly + my, s.sprite_width, s.sprite_height)
 
     def render(self, k: int, viewport: tuple[int, int] = (0, 0)) -> tuple[Frame, TruthRecord]:
-        """Render frame k with the viewport shifted by whole pixels.
-
-        The reported truth position is expressed in the rendered frame's
-        coordinates (world position minus the viewport shift).
+        """Render frame k with the viewport shifted by whole pixels, at most
+        ``WORLD_MARGIN`` on either axis. The reported truth position is in
+        the rendered frame's coordinates (world position minus the shift).
         """
         s = self.scenario
         if not 0 <= k < len(self._rows):
             raise IndexError(f"frame {k} outside the scenario's {len(self._rows)} frames")
         t, visible, tlx, tly, heading, gain, offset = self._rows[k]
         m = WORLD_MARGIN
-        ox = max(-m, min(m, int(viewport[0])))
-        oy = max(-m, min(m, int(viewport[1])))
+        ox, oy = int(viewport[0]), int(viewport[1])
+        if max(abs(ox), abs(oy)) > m:
+            raise InvalidScenario(
+                f"frame {k}: viewport offset ({ox}, {oy}) exceeds the world's {m} px margin")
         crop = self.world[m + oy:m + oy + s.height, m + ox:m + ox + s.width].copy()
         if visible:
             canvas, inside = self._sprite_at(heading)

@@ -210,6 +210,18 @@ class TestSimulateCommand:
             "error: target must be visible at frame 0 to select a template\n"
         assert not out.exists()
 
+    def test_viewport_beyond_world_margin_exits_2(self, tmp_path, capsys):
+        # At 640x480 the gimbal can pan 240 px; the world reaches only 128 px
+        # beyond the frame, and this path pans past it at frame 493.
+        s = quantized_scenario(duration=40.0, width=640, height=480, seed=5,
+                               position=[(0.0, 320.0, 240.0), (40.0, 580.0, 240.0)])
+        out = tmp_path / "o"
+        assert main(["simulate", write_scenario(tmp_path / "scn.txt", s),
+                     "--out", str(out)]) == 2
+        assert capsys.readouterr().err == \
+            "error: frame 493: viewport offset (129, 1) exceeds the world's 128 px margin\n"
+        assert not out.exists()
+
     @pytest.mark.parametrize("entry", [
         "sprite_contrast=62.0", "background_base=105.0", "background_contrast=9.0",
         "background_cell=5", "world_margin=128",
@@ -306,9 +318,15 @@ class TestBenchmarkCommand:
         assert len(records) == 40 and all(r.detected for r in records)
         assert sum(r.templates_evaluated for r in records) / 40 <= 1.2
 
-    def test_bad_sizes_exit_2(self):
+    def test_bad_sizes_exit_2(self, capsys):
         assert main(["benchmark", "--sizes", "2x2"]) == 2
         assert main(["benchmark", "--sizes", "notasize"]) == 2
+        capsys.readouterr()
+        for empty in ("", " "):
+            assert main(["benchmark", "--sizes", empty]) == 2
+            assert capsys.readouterr().err == "error: --sizes is empty\n"
+        assert main(["benchmark", "--sizes", "20x22,"]) == 2
+        assert capsys.readouterr().err == "error: --sizes entries need WxH, got ''\n"
 
     @pytest.mark.parametrize("frames", ["0", "-3"])
     def test_bad_frames_exit_2(self, capsys, frames):

@@ -12,7 +12,7 @@ from uavtrack.imaging import (
 )
 from uavtrack.matcher import (
     SchedulerState, WindowStats, _direct_numerator, _fast_len, _fft_numerator,
-    _integral_image, detect, schedule_order, zmncc_fast, zmncc_oracle,
+    detect, schedule_order, zmncc_fast, zmncc_oracle,
 )
 
 
@@ -286,7 +286,7 @@ class TestFftNumerator:
     def test_detect_agrees_across_numerators(self, rng, monkeypatch):
         bank, frame, _ = planted_bank_and_frame(rng, heading=40.0)
         results = []
-        for limit in (math.inf, 0):
+        for limit in (10 ** 12, 0):  # direct strip product, FFT
             monkeypatch.setattr(matcher, "_DIRECT_MAX_MACS", limit)
             sched = SchedulerState()
             det = detect(frame, bank, sched, window(0, 0, 90, 90), 0.9)
@@ -390,45 +390,48 @@ class TestPlacementMatrix:
 
 
 def nested_cumsum(a):
-    """The integral image as two whole-array ``np.cumsum`` passes."""
-    s = np.zeros((a.shape[0] + 1, a.shape[1] + 1))
+    """The integral image as two whole-array ``np.cumsum`` passes, in the
+    dtype of ``a``."""
+    s = np.zeros((a.shape[0] + 1, a.shape[1] + 1), a.dtype)
     np.cumsum(np.cumsum(a, axis=0), axis=1, out=s[1:, 1:])
     return s
 
 
-def assert_planes_equal_nested_cumsum(*planes):
-    s = _integral_image(*planes)
-    h, w = planes[0].shape
-    assert s.shape == (len(planes), h + 1, w + 1)
-    for plane, a in zip(s, planes):
-        assert np.array_equal(plane, nested_cumsum(a))
+def box_sums(a, th, tw):
+    """Sums over every ``th x tw`` box of ``a``, from its integral image."""
+    s = nested_cumsum(a)
+    return s[th:, tw:] - s[:-th, tw:] - s[th:, :-tw] + s[:-th, :-tw]
 
 
-class TestIntegralImage:
-    @pytest.mark.parametrize("shape", [(480, 640), (240, 320)])
-    def test_full_frame_equals_nested_cumsum(self, rng, shape):
-        g = rng.uniform(-128.0, 128.0, shape)
-        assert_planes_equal_nested_cumsum(g, g * g)
+def integral_energy(g, th, tw):
+    """Zero-mean placement energies of the centred region ``g`` from
+    integral images, NaN where the placement is flat."""
+    energy = box_sums(g * g, th, tw) - box_sums(g, th, tw) ** 2 / (th * tw)
+    energy[energy <= matcher._FLAT_ENERGY_TOL] = np.nan
+    return energy
 
-    @settings(max_examples=100, deadline=None)
-    @given(st.integers(1, 41), st.integers(1, 41), st.integers(0, 2 ** 32 - 1))
-    def test_equals_nested_cumsum(self, h, w, seed):
-        g = np.random.default_rng(seed).uniform(-128.0, 128.0, (h, w))
-        assert_planes_equal_nested_cumsum(g, g * g)
+
+def corner_block_frame(rng):
+    """A 640x480 8-bit noise frame whose bottom-right 45x45 block is 200 but
+    for a centre pixel of 201: a placement energy near 1 where the frame's
+    prefix sums are largest."""
+    pixels = rng.integers(0, 256, (480, 640), dtype=np.uint8)
+    pixels[-45:, -45:] = 200
+    pixels[-23, -23] = 201
+    return Frame(pixels)
 
 
 @st.composite
 def energy_cases(draw):
     """An 8-bit or float64 frame, maybe holding a flat block, a canvas shape
-    and a window, with the banded products' multiply-adds within the budget
-    (frames up to 40 px larger than the canvas, windows that may overhang
-    the frame edge) or beyond it (frames 130-170 px larger, windows up to
-    8 px inside or outside each edge). Returns the case and whether it lies
-    beyond the budget."""
+    and a window: frames up to 40 px larger than the canvas with windows
+    that may overhang the frame edge, or frames 130-170 px larger with
+    windows up to 8 px inside or outside each edge. Returns the case and a
+    multiply-add budget: the default, or one small enough that the banded
+    products take several tiles."""
     th = draw(st.integers(2, 45))
     tw = draw(st.integers(2, 45))
-    beyond = draw(st.booleans())
-    if beyond:
+    if draw(st.booleans()):
         fh = th + draw(st.integers(130, 170))
         fw = tw + draw(st.integers(130, 170))
         x0, y0, dx, dy = (draw(st.integers(-8, 8)) for _ in range(4))
@@ -448,44 +451,54 @@ def energy_cases(draw):
         by = int(rng.integers(0, fh - bh + 1))
         bx = int(rng.integers(0, fw - bw + 1))
         pixels[by:by + bh, bx:bx + bw] = rng.integers(0, 256)
-    return Frame(pixels), (th, tw), win, beyond
+    budget = draw(st.sampled_from([matcher._DIRECT_MAX_MACS, 0, 3_000, 40_000, 300_000]))
+    return Frame(pixels), (th, tw), win, budget
 
 
 class TestWindowEnergies:
     @settings(max_examples=100, deadline=None)
     @given(energy_cases())
     def test_banded_products_equal_integral_image(self, case):
-        frame, shape, win, beyond = case
-        stats = WindowStats(frame, win, shape)
-        h, w = stats.g.shape
-        wh, ww = stats.energy.shape
-        assert (wh * w * (h + ww) > matcher._DIRECT_MAX_MACS) == beyond
-        energies = []
+        frame, (th, tw), win, budget = case
         with pytest.MonkeyPatch.context() as mp:
-            for limit in (math.inf, -1):  # banded products, integral image
-                mp.setattr(matcher, "_DIRECT_MAX_MACS", limit)
-                energies.append(WindowStats(frame, win, shape).energy)
-        banded, integral = energies
-        assert np.array_equal(stats.energy, integral if beyond else banded, equal_nan=True)
-        assert np.array_equal(np.isnan(banded), np.isnan(integral))
-        ok = ~np.isnan(banded)
+            mp.setattr(matcher, "_DIRECT_MAX_MACS", budget)
+            stats = WindowStats(frame, win, (th, tw))
+        want = integral_energy(stats.g, th, tw)
+        assert stats.energy.shape == want.shape
+        assert np.array_equal(np.isnan(stats.energy), np.isnan(want))
+        ok = ~np.isnan(want)
         total = np.add.reduce(stats.g * stats.g, axis=None)
-        assert np.all(np.abs(banded[ok] - integral[ok]) <= 1e-12 * total)
+        assert np.all(np.abs(stats.energy[ok] - want[ok]) <= 1e-12 * total)
 
-    def test_small_canvas_in_large_window_takes_integral_image(self, rng, monkeypatch):
-        calls = []
+    @settings(max_examples=300, deadline=None)
+    @given(st.integers(1, 700), st.integers(1, 50), st.integers(1, 700),
+           st.integers(0, 3_000_000))
+    def test_tile_is_the_largest_within_budget(self, outputs, k, depth, budget):
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(matcher, "_DIRECT_MAX_MACS", budget)
+            n = matcher._tile(outputs, k, depth)
+        assert 1 <= n <= outputs
+        assert n == 1 or n * (n + k - 1) * depth <= budget
+        assert n == outputs or (n + 1) * (n + k) * depth > budget
 
-        def recording(*planes):
-            calls.append(planes[0].shape)
-            return _integral_image(*planes)
+    def test_full_frame_energies_near_exact_integer_sums(self, rng):
+        frame = corner_block_frame(rng)
+        stats = WindowStats(frame, estimator.full_frame_window(640, 480), (45, 45))
+        a = frame.pixels.astype(np.int64)
+        n = 45 * 45
+        s1, s2 = box_sums(a, 45, 45), box_sums(a * a, 45, 45)
+        exact = (n * s2 - s1 * s1) / n
+        assert not np.isnan(stats.energy).any()
+        assert np.max(np.abs(stats.energy - exact)) <= 1e-7
 
-        monkeypatch.setattr(matcher, "_integral_image", recording)
-        frame = Frame(rng.integers(0, 256, (400, 500), dtype=np.uint8))
-        stats = WindowStats(frame, window(0, 0, 500, 400), (3, 3))
-        assert calls == [(400, 500)]
-        assert not stats.direct  # the strip product would take wh*th*w*ww = 3.0e8
-        WindowStats(frame, window(0, 0, 51, 51), (45, 45))  # a steady window
-        assert calls == [(400, 500)]
+    def test_full_frame_corner_score_matches_oracle(self):
+        win = estimator.full_frame_window(640, 480)
+        for seed in range(10):
+            rng = np.random.default_rng(seed)
+            frame = corner_block_frame(rng)
+            template = Patch(rng.uniform(0.0, 255.0, (45, 45)))
+            cmap = zmncc_fast(frame, template, win)
+            assert_matches_oracle(cmap, frame, template, [(cmap.height - 1, cmap.width - 1)])
 
 
 @st.composite

@@ -94,7 +94,7 @@ def two_warp_frame(renderer, k, viewport):
     clip and rounding into new arrays."""
     s = renderer.scenario
     m = simulator.WORLD_MARGIN
-    ox, oy = (max(-m, min(m, v)) for v in viewport)
+    ox, oy = viewport
     crop = renderer.world[m + oy:m + oy + s.height, m + ox:m + ox + s.width].copy()
     truth = renderer.render(k)[1]
     if truth.visible:
@@ -112,6 +112,14 @@ def two_warp_frame(renderer, k, viewport):
     return np.rint(out) if s.quantize else out
 
 
+def assert_viewport_rejected(renderer, k, viewport):
+    """A viewport beyond the world's margin is rejected, naming the frame
+    and the offset."""
+    with pytest.raises(InvalidScenario, match=rf"^frame {k}: viewport offset "
+                                              rf"\({viewport[0]}, {viewport[1]}\)"):
+        renderer.render(k, viewport)
+
+
 class TestSharedWarp:
     @settings(max_examples=60, deadline=None)
     @given(st.integers(2, 45), st.integers(2, 45), headings(), st.floats(0.5, 1.5),
@@ -126,6 +134,9 @@ class TestSharedWarp:
                            gain=[(0.0, gain)], offset=[(0.0, offset)], quantize=quantize,
                            distractors=0)
         r = SceneRenderer(s)
+        if max(abs(ox), abs(oy)) > simulator.WORLD_MARGIN:
+            assert_viewport_rejected(r, 0, (ox, oy))
+            return
         frame, _ = r.render(0, (ox, oy))
         assert np.array_equal(frame.pixels, two_warp_frame(r, 0, (ox, oy)))
 
@@ -337,8 +348,7 @@ def scalar_truth(s: Scenario, canvas_side: int, k: int, viewport) -> TruthRecord
     cx, cy = at(s.position)
     (heading,), (gain,), (offset,) = at(s.heading), at(s.gain), at(s.offset)
     half = (canvas_side - 1) / 2.0
-    m = simulator.WORLD_MARGIN
-    ox, oy = (max(-m, min(m, v)) for v in viewport)
+    ox, oy = viewport
     return TruthRecord(frame_index=k, time=t, visible=not any(a <= t < b for a, b in s.dropouts),
                        x=round(cx - half) + half - ox, y=round(cy - half) + half - oy,
                        heading=heading % 360.0, gain=gain, offset=offset)
@@ -349,7 +359,7 @@ TRUTH_TYPES = (int, float, bool, float, float, float, float, float)
 
 class TestSampledSchedules:
     @settings(max_examples=40, deadline=None)
-    @given(scenarios(), st.integers(-300, 300), st.integers(-300, 300))
+    @given(scenarios(), st.integers(-140, 140), st.integers(-140, 140))
     # Frame times on the dropout bounds, and sprite centres half a pixel
     # off the grid, where rounding half to even decides the corner.
     @example(small_scenario(duration=1.0, position=[(0.0, 60.5, 50.5), (1.0, 61.5, 49.5)],
@@ -357,6 +367,9 @@ class TestSampledSchedules:
              3, -2)
     def test_truth_equals_scalar_evaluation(self, s, ox, oy):
         r = SceneRenderer(s)
+        if max(abs(ox), abs(oy)) > simulator.WORLD_MARGIN:
+            assert_viewport_rejected(r, s.n_frames - 1, (ox, oy))
+            return
         for k in range(s.n_frames):
             frame, truth = r.render(k, (ox, oy))
             want = scalar_truth(s, r.canvas_side, k, (ox, oy))
