@@ -85,14 +85,15 @@ class Patch:
     def __post_init__(self):
         a = _raster(np.asarray(self.pixels, dtype=np.float64), "patch")
         object.__setattr__(self, "pixels", _read_only(a))
-        if float(a.max()) == float(a.min()):
+        # The ufunc reductions that max, min, mean and sum call: the same bits.
+        if float(np.maximum.reduce(a, axis=None)) == float(np.minimum.reduce(a, axis=None)):
             m = float(a.flat[0])
             zm = np.zeros_like(a)
             norm = 0.0
         else:
-            m = float(a.mean())
+            m = float(np.add.reduce(a, axis=None) / a.size)
             zm = a - m
-            norm = float(np.sqrt(np.sum(zm * zm)))
+            norm = math.sqrt(float(np.add.reduce(zm * zm, axis=None)))
         zm.setflags(write=False)
         object.__setattr__(self, "mean", m)
         object.__setattr__(self, "zm_pixels", zm)
@@ -160,15 +161,17 @@ def rotation_canvas_side(width: int, height: int) -> int:
 class WarpGeometry:
     """Where each canvas pixel of a rotation warp samples its source.
 
-    ``corners`` holds the flat source indices of the four bilinear taps
-    (top-left, top-right, bottom-left, bottom-right), ``fx, fy`` the
+    ``tap`` holds the flat source index of the top-left bilinear tap,
+    ``steps`` the index steps to the right and lower taps, ``fx, fy`` the
     sample's fractional offsets from the top-left tap, and ``inside`` marks
-    the canvas pixels whose sample falls on the source. An inverse-mapped
-    warp computes this sample map once and can apply it to any raster of
-    the source's shape.
+    the canvas pixels whose sample falls on the source. Each array is one
+    ``(side, side)`` canvas, or an ``(n, side, side)`` stack for n angles.
+    An inverse-mapped warp computes this sample map once and can apply it
+    to any raster of the source's shape.
     """
 
-    corners: tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]
+    tap: np.ndarray
+    steps: tuple[int, int]
     fx: np.ndarray
     fy: np.ndarray
     inside: np.ndarray
@@ -176,18 +179,22 @@ class WarpGeometry:
     def apply(self, pixels: np.ndarray, fill: float) -> np.ndarray:
         """Warp a raster of the geometry's source shape; outside takes ``fill``."""
         flat = np.asarray(pixels, dtype=np.float64).ravel()
-        i00, i01, i10, i11 = self.corners
+        right, down = self.steps
         gx = 1.0 - self.fx
-        top = gx * flat.take(i00) + self.fx * flat.take(i01)
-        bot = gx * flat.take(i10) + self.fx * flat.take(i11)
+        top = gx * flat.take(self.tap) + self.fx * flat.take(self.tap + right)
+        bot = gx * flat.take(self.tap + down) + self.fx * flat.take(self.tap + (down + right))
         out = (1.0 - self.fy) * top + self.fy * bot
         out[~self.inside] = fill
         return out
 
 
-def warp_geometry(height: int, width: int, alpha_deg: float) -> WarpGeometry:
+def warp_geometry(height: int, width: int, alpha_deg) -> WarpGeometry:
     """Sample geometry of a clockwise ``alpha_deg`` rotation of a
     ``height`` x ``width`` raster onto its rotation canvas.
+
+    ``alpha_deg`` is one angle or a 1-D array of n angles. The latter's
+    slice k is the geometry of angle k alone, bit for bit: cos and sin come
+    from ``math`` one angle at a time, and the array operations are alike.
 
     The source is embedded on the square canvas at integer margins and the
     rotation pivots on the embedded source center, so the zero-angle warp
@@ -205,8 +212,10 @@ def warp_geometry(height: int, width: int, alpha_deg: float) -> WarpGeometry:
     dx = np.arange(side) - (mx + csx)
     dy = (np.arange(side) - (my + csy))[:, None]
 
-    a = math.radians(alpha_deg % 360.0)
-    ca, sa = math.cos(a), math.sin(a)
+    if isinstance(alpha_deg, np.ndarray):
+        ca, sa = np.array([_cos_sin(a) for a in alpha_deg.tolist()]).T[:, :, None, None]
+    else:
+        ca, sa = _cos_sin(alpha_deg)
     sx = ca * dx + sa * dy + csx
     sy = -sa * dx + ca * dy + csy
 
@@ -215,38 +224,35 @@ def warp_geometry(height: int, width: int, alpha_deg: float) -> WarpGeometry:
         np.copyto(arr, snapped, where=np.abs(arr - snapped) < 1e-9)
 
     inside = (sx >= 0.0) & (sx <= w - 1) & (sy >= 0.0) & (sy <= h - 1)
+    # The top-left tap; sx and sy become the sample's offsets from it.
     x0 = np.clip(np.floor(sx), 0, max(w - 2, 0)).astype(np.intp)
     y0 = np.clip(np.floor(sy), 0, max(h - 2, 0)).astype(np.intp)
-    fx = sx - x0
-    fy = sy - y0
+    sx -= x0
+    sy -= y0
     # The right and lower taps are one step on, except along a
     # one-pixel side, where both taps are the same pixel.
-    step_x, step_y = int(w > 1), w * int(h > 1)
-    i00 = y0 * w + x0
-    i10 = i00 + step_y
-    return WarpGeometry(corners=(i00, i00 + step_x, i10, i10 + step_x),
-                        fx=fx, fy=fy, inside=inside)
+    return WarpGeometry(tap=y0 * w + x0, steps=(int(w > 1), w * int(h > 1)),
+                        fx=sx, fy=sy, inside=inside)
 
 
-def warp_rotate(patch: Patch, alpha_deg: float) -> Patch:
-    """Rotate a patch clockwise by ``alpha_deg`` degrees onto the bank canvas.
-
-    See ``warp_geometry`` for the sampling. Out-of-support canvas pixels
-    take the source patch mean so they carry roughly zero weight in
-    zero-mean correlation.
-    """
-    return Patch(warp_geometry(*patch.pixels.shape, alpha_deg).apply(patch.pixels, patch.mean))
+def _cos_sin(alpha_deg: float) -> tuple[float, float]:
+    a = math.radians(alpha_deg % 360.0)
+    return math.cos(a), math.sin(a)
 
 
 def build_template_bank(patch: Patch) -> TemplateBank:
-    """Generate the rotation bank: BANK_SIZE templates at BANK_STEP_DEG steps."""
+    """Generate the rotation bank: BANK_SIZE templates at BANK_STEP_DEG steps,
+    from one warp geometry over all their angles. Out-of-support canvas
+    pixels take the source patch mean so they carry roughly zero weight in
+    zero-mean correlation.
+    """
     if patch.is_constant:
         raise NonDiscriminativeTemplate("source patch is constant")
-    templates = []
-    for k in range(BANK_SIZE):
-        t = warp_rotate(patch, k * BANK_STEP_DEG)
+    stack = warp_geometry(*patch.pixels.shape, np.arange(BANK_SIZE) * BANK_STEP_DEG).apply(
+        patch.pixels, patch.mean)
+    templates = tuple(Patch(canvas) for canvas in stack)
+    for k, t in enumerate(templates):
         if t.is_constant:
             raise NonDiscriminativeTemplate(
                 f"template at {k * BANK_STEP_DEG:.0f} degrees is constant")
-        templates.append(t)
-    return TemplateBank(templates=tuple(templates))
+    return TemplateBank(templates=templates)

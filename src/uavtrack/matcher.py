@@ -190,7 +190,9 @@ class WindowStats:
         # Centering on the region mean conditions the s2 - s1^2/n subtraction.
         # It is also where an 8-bit region becomes float64: integer sums are
         # exact in float64, so the result equals that of a float64 frame.
-        g = region - _mean(region)
+        # Centering a float64 copy in place gives the bits of region - mean.
+        g = region.astype(np.float64)
+        g -= _mean(region)
 
         h, w = g.shape
         wh, ww = h - th + 1, w - tw + 1

@@ -305,15 +305,15 @@ class SceneRenderer:
         if max(abs(ox), abs(oy)) > m:
             raise InvalidScenario(
                 f"frame {k}: viewport offset ({ox}, {oy}) exceeds the world's {m} px margin")
-        crop = self.world[m + oy:m + oy + s.height, m + ox:m + ox + s.width].copy()
+        # World and sprite are lit before the paste, with the bits that lighting
+        # after it gives; the lit world is this frame's own array.
+        crop = _lit(self.world[m + oy:m + oy + s.height, m + ox:m + ox + s.width], gain, offset)
         if visible:
             canvas, inside = self._sprite_at(heading)
-            _paste(crop, canvas, inside, tlx - ox, tly - oy)
-
-        # crop is this frame's own copy: scale, clip and round it in place.
-        crop *= gain
-        crop += offset
-        np.clip(crop, 0.0, 255.0, out=crop)
+            _paste(crop, _lit(canvas, gain, offset), inside, tlx - ox, tly - oy)
+        # Both lie in [0, 255]; rounding is monotonic, so clip if lit 0 or 255 leave it.
+        if min(0.0, 255.0 * gain) + offset < 0.0 or max(0.0, 255.0 * gain) + offset > 255.0:
+            np.clip(crop, 0.0, 255.0, out=crop)
         if s.quantize:
             np.rint(crop, out=crop)
         half = (self.canvas_side - 1) / 2.0
@@ -328,6 +328,15 @@ class SceneRenderer:
             geometry = warp_geometry(*self.sprite.shape, heading)
             self._warped = (heading, geometry.apply(self.sprite, 0.0), geometry.inside)
         return self._warped[1:]
+
+
+def _lit(pixels: np.ndarray, gain: float, offset: float) -> np.ndarray:
+    """``pixels * gain + offset`` in a new array, skipping the steps that
+    leave every bit as it is (adding 0.0 turns a negative gain's -0.0 to 0.0)."""
+    out = pixels.copy() if gain == 1.0 else np.multiply(pixels, gain)
+    if offset != 0.0 or math.copysign(1.0, gain) < 0.0:
+        out += offset
+    return out
 
 
 def _paste(dst: np.ndarray, src: np.ndarray, mask: np.ndarray, x: int, y: int) -> None:

@@ -1,12 +1,14 @@
+import dataclasses
+
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from conftest import gather_warp, headings
 from uavtrack.errors import DimensionMismatch, NonDiscriminativeTemplate, OutOfBounds
 from uavtrack.imaging import (
-    BANK_SIZE, Frame, Patch, build_template_bank, extract_patch,
-    rotation_canvas_side, warp_geometry, warp_rotate,
+    BANK_SIZE, Frame, Patch, WarpGeometry, build_template_bank, extract_patch,
+    rotation_canvas_side, warp_geometry,
 )
 
 
@@ -18,6 +20,12 @@ def embed(patch: Patch) -> tuple[np.ndarray, int, int]:
     mx, my = (side - w) // 2, (side - h) // 2
     canvas[my:my + h, mx:mx + w] = patch.pixels
     return canvas, mx, my
+
+
+def rotate(patch: Patch, alpha_deg: float) -> Patch:
+    """Reference bank template: the patch warped by one angle, with the
+    patch mean outside its support."""
+    return Patch(warp_geometry(*patch.pixels.shape, alpha_deg).apply(patch.pixels, patch.mean))
 
 
 class TestFramePatch:
@@ -74,6 +82,17 @@ class TestFramePatch:
         assert p.zm_norm == pytest.approx(np.sqrt(((a - a.mean()) ** 2).sum()), abs=1e-9)
         assert p.zm_norm > 0
 
+    @pytest.mark.parametrize("eight_bit", [False, True])
+    def test_patch_caches_bit_for_bit(self, rng, eight_bit):
+        raster = rng.integers(0, 256, (9, 11), dtype=np.uint8) if eight_bit \
+            else rng.uniform(0, 255, (9, 11))
+        p = extract_patch(Frame(raster), (2, 1, 7, 6))  # a strided view
+        a = raster[1:7, 2:9].astype(np.float64)
+        zm = a - float(a.mean())
+        assert p.mean.hex() == float(a.mean()).hex()
+        assert p.zm_norm.hex() == float(np.sqrt(np.sum(zm * zm))).hex()
+        assert p.zm_pixels.tobytes() == zm.tobytes()
+
     def test_constant_patch_has_zero_energy(self):
         p = Patch(np.full((4, 4), 76.245))
         assert p.zm_norm == 0.0 and p.is_constant
@@ -105,23 +124,23 @@ class TestExtractPatch:
 class TestWarp:
     def test_identity_exact(self, rng):
         p = Patch(rng.uniform(0, 255, (6, 9)))
-        out = warp_rotate(p, 0.0)
+        out = rotate(p, 0.0)
         canvas, _, _ = embed(p)
         assert np.array_equal(out.pixels, canvas)
 
     @pytest.mark.parametrize("quarter", [1, 2, 3])
     def test_quarter_turns_match_permutation_oracle(self, rng, quarter):
         p = Patch(rng.uniform(0, 255, (8, 8)))
-        out = warp_rotate(p, 90.0 * quarter)
+        out = rotate(p, 90.0 * quarter)
         canvas, _, _ = embed(p)
         want = np.rot90(canvas, k=-quarter)  # clockwise quarter turns
         assert np.array_equal(out.pixels, want)
 
     def test_double_half_turn_is_involution(self, rng):
         p = Patch(rng.uniform(0, 255, (7, 5)))
-        twice = warp_rotate(warp_rotate(p, 180.0), 180.0)
+        twice = rotate(rotate(p, 180.0), 180.0)
         # locate the original content inside the twice-rotated canvas
-        once = warp_rotate(p, 180.0)
+        once = rotate(p, 180.0)
         m2 = (twice.width - once.width) // 2
         inner = twice.pixels[m2:m2 + once.height, m2:m2 + once.width]
         m1x = (once.width - p.width) // 2
@@ -132,7 +151,7 @@ class TestWarp:
     @pytest.mark.parametrize("alpha", [13.7, 45.0, 101.3, 284.6])
     def test_range_preserved(self, rng, alpha):
         p = Patch(rng.uniform(10, 200, (11, 13)))
-        out = warp_rotate(p, alpha)
+        out = rotate(p, alpha)
         assert out.pixels.min() >= p.pixels.min() - 1e-12
         assert out.pixels.max() <= p.pixels.max() + 1e-12
 
@@ -154,6 +173,20 @@ class TestWarpGeometry:
         # raster gives the inside mask: 1.0 on it, 0.0 off it.
         ones = gather_warp(np.ones((h, w)), alpha, fill=0.0)
         assert np.array_equal(ones, geometry.inside.astype(np.float64))
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(1, 45), st.integers(1, 45), st.lists(headings(), min_size=1, max_size=6))
+    def test_array_slices_equal_scalar_geometry(self, h, w, angles):
+        stacked = warp_geometry(h, w, np.array(angles))
+        for k, alpha in enumerate(angles):
+            alone = warp_geometry(h, w, alpha)
+            for f in dataclasses.fields(WarpGeometry):
+                got, want = getattr(stacked, f.name), getattr(alone, f.name)
+                if isinstance(want, np.ndarray):
+                    assert want.ndim == 2 and got.shape == (len(angles),) + want.shape
+                    assert got.dtype == want.dtype and got[k].tobytes() == want.tobytes(), f.name
+                else:
+                    assert got == want, f.name
 
     @settings(max_examples=20, deadline=None)
     @given(st.integers(5, 16), st.integers(5, 16), st.integers(0, 2 ** 32 - 1))
@@ -181,8 +214,54 @@ class TestTemplateBank:
     def test_half_turn_slot_matches_direct_warp(self, rng):
         p = Patch(rng.uniform(0, 255, (9, 7)))
         bank = build_template_bank(p)
-        direct = warp_rotate(p, 180.0)
+        direct = rotate(p, 180.0)
         assert np.max(np.abs(bank.templates[18].pixels - direct.pixels)) < 1e-9
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.integers(1, 40), st.integers(1, 40), st.booleans(), st.integers(0, 2 ** 32 - 1))
+    @example(1, 9, True, 0)  # a one-pixel side; odd margins
+    @example(9, 1, False, 0)
+    @example(8, 8, True, 1)  # square; even margins
+    @example(6, 5, False, 2)  # an odd margin across, an even one down
+    @example(28, 27, True, 3)  # an even margin across, an odd one down
+    @example(30, 38, False, 4)  # the benchmark's largest canvas
+    def test_equals_per_angle_reference(self, h, w, eight_bit, seed):
+        assume(h * w >= 4)  # extract_patch's smallest patch
+        rng = np.random.default_rng(seed)
+        shape = (h + 3, w + 2)
+        raster = rng.integers(0, 256, shape, dtype=np.uint8) if eight_bit \
+            else rng.uniform(0, 255, shape)
+        raster[2, 1], raster[h + 1, w] = 0, 255  # two corners: never constant
+        p = extract_patch(Frame(raster), (1, 2, w, h))
+        wants = [rotate(p, 10.0 * k) for k in range(BANK_SIZE)]
+        constant = [k for k, t in enumerate(wants) if t.is_constant]
+        if constant:  # a thin patch can miss every canvas pixel at some angle
+            with pytest.raises(NonDiscriminativeTemplate,
+                               match=f"^template at {10 * constant[0]} degrees is constant$"):
+                build_template_bank(p)
+            return
+        bank = build_template_bank(p)
+        assert bank.size == BANK_SIZE
+        for k, (t, want) in enumerate(zip(bank.templates, wants)):
+            for name in ("pixels", "zm_pixels"):
+                got, ref = getattr(t, name), getattr(want, name)
+                assert got.shape == ref.shape and got.tobytes() == ref.tobytes(), (k, name)
+            assert t.mean.hex() == want.mean.hex() and t.zm_norm.hex() == want.zm_norm.hex(), k
+
+    @pytest.mark.parametrize("eight_bit", [False, True])
+    def test_templates_read_only_and_source_unchanged(self, rng, eight_bit):
+        raster = rng.integers(0, 256, (12, 10), dtype=np.uint8) if eight_bit \
+            else rng.uniform(0, 255, (12, 10))
+        kept = raster.copy()
+        p = extract_patch(Frame(raster), (1, 2, 7, 9))
+        source = p.pixels.copy()
+        bank = build_template_bank(p)
+        assert np.array_equal(raster, kept) and raster.flags.writeable
+        assert np.array_equal(p.pixels, source)
+        for t in bank.templates:
+            for a in (t.pixels, t.zm_pixels):
+                with pytest.raises(ValueError):
+                    a[0, 0] = 1.0
 
     def test_bank_is_deterministic(self, rng):
         p = Patch(rng.uniform(0, 255, (8, 10)))

@@ -8,7 +8,7 @@ from conftest import window
 from uavtrack import estimator, matcher, simulator
 from uavtrack.errors import UndefinedScore, WindowTooSmall
 from uavtrack.imaging import (
-    Frame, Patch, TemplateBank, build_template_bank, extract_patch, warp_rotate,
+    Frame, Patch, TemplateBank, build_template_bank, extract_patch, warp_geometry,
 )
 from uavtrack.matcher import (
     SchedulerState, WindowStats, _direct_numerator, _fast_len, _fft_numerator,
@@ -116,10 +116,11 @@ def planted_bank_and_frame(rng, heading=0.0):
     # fine-grained texture: decorrelates hard by 10 degrees, so the
     # plant can only match the template at its exact rotation
     sprite = np.clip(105.0 + 60.0 * simulator.value_noise(rng, 24, 24, 3), 0, 255)
-    bank = build_template_bank(Patch(sprite))
+    source = Patch(sprite)
+    bank = build_template_bank(source)
     side = bank.canvas[0]
     pixels = 105.0 + 8.0 * simulator.value_noise(rng, 90, 90, 5)
-    canvas = warp_rotate(Patch(sprite), heading).pixels
+    canvas = warp_geometry(*sprite.shape, heading).apply(source.pixels, source.mean)
     pixels[30:30 + side, 25:25 + side] = canvas
     return bank, Frame(np.clip(pixels, 0, 255)), (25, 30)
 
@@ -538,6 +539,19 @@ class TestEightBitFrames:
         sched8, sched64 = SchedulerState(), SchedulerState()
         assert detect(f8, bank, sched8, win, 0.9) == detect(f64, bank, sched64, win, 0.9)
         assert sched8 == sched64
+
+    @settings(max_examples=60, deadline=None)
+    @given(uint8_cases())
+    def test_centered_region_has_the_bits_of_region_minus_mean(self, case):
+        raster, bank, win = case
+        for frame in (Frame(raster), Frame(raster.astype(np.float64))):
+            kept = frame.pixels.copy()
+            stats = WindowStats(frame, win, bank.templates[0].pixels.shape)
+            h, w = stats.g.shape
+            region = frame.pixels[stats.y0:stats.y0 + h, stats.x0:stats.x0 + w]
+            want = region - matcher._mean(region)
+            assert stats.g.dtype == want.dtype and stats.g.tobytes() == want.tobytes()
+            assert frame.pixels.tobytes() == kept.tobytes()
 
     def test_full_frame_640x480(self):
         scn = simulator.benchmark_scenario(30, 33, n_frames=50)

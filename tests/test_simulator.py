@@ -125,6 +125,16 @@ class TestSharedWarp:
     @given(st.integers(2, 45), st.integers(2, 45), headings(), st.floats(0.5, 1.5),
            st.floats(-20.0, 20.0), st.booleans(), st.integers(-140, 140),
            st.integers(-140, 140))
+    # A unit gain and a zero offset, which are neither multiplied nor added
+    @example(20, 20, 30.0, 1.0, 0.0, False, 0, 0)
+    @example(20, 20, 30.0, 1.0, 0.0, True, 3, -2)
+    # 255 * 0.75 + 63.75 == 255 exactly: the brightest pixel stays unclipped
+    @example(12, 17, 45.0, 0.75, 63.75, False, 0, 0)
+    # Negative gains: [72.5, 200] stays in range, [-286, 20] is clipped
+    @example(12, 17, 200.0, -0.5, 200.0, True, 0, 0)
+    @example(12, 17, 200.0, -1.2, 20.0, False, 0, 0)
+    # A gain of -0.0 gives -0.0, which only the add of the zero offset makes 0.0
+    @example(12, 17, 200.0, -0.0, 0.0, False, 0, 0)
     def test_frame_equals_two_warp_blend(self, sh, sw, heading, gain, offset, quantize, ox, oy):
         assume(sh * sw >= 16)
         size = rotation_canvas_side(sw, sh) + 6
@@ -138,7 +148,9 @@ class TestSharedWarp:
             assert_viewport_rejected(r, 0, (ox, oy))
             return
         frame, _ = r.render(0, (ox, oy))
-        assert np.array_equal(frame.pixels, two_warp_frame(r, 0, (ox, oy)))
+        want = two_warp_frame(r, 0, (ox, oy))  # bit for bit, down to the sign of a zero
+        assert frame.pixels.dtype == want.dtype and frame.pixels.shape == want.shape
+        assert frame.pixels.tobytes() == want.tobytes()
 
     def test_reuse_matches_a_fresh_renderer(self):
         # heading 30 until 0.5 s, a ramp to 120 at 1.0 s, held to 1.5 s,
