@@ -66,11 +66,16 @@ def read_pgm(path: str) -> np.ndarray:
                     for name, token in zip(("width", "height", "maxval"), tokens[1:]))
     if maxval > 255:
         raise ValueError(f"{path}: unsupported maxval {maxval} (8-bit only)")
-    pos += 1  # single whitespace byte after maxval
+    if not data[pos:pos + 1].isspace():
+        raise ValueError(f"{path}: PGM maxval {maxval} is not followed by one whitespace byte")
+    pos += 1
     raw = memoryview(data)[pos:pos + w * h]
     if len(raw) != w * h:
         raise ValueError(f"{path}: expected {w * h} pixel bytes, got {len(raw)}")
-    return np.frombuffer(bytearray(raw), dtype=np.uint8).reshape(h, w)
+    pixels = np.frombuffer(bytearray(raw), dtype=np.uint8).reshape(h, w)
+    if maxval < 255 and int(pixels.max()) > maxval:
+        raise ValueError(f"{path}: PGM pixel value {int(pixels.max())} exceeds maxval {maxval}")
+    return pixels
 
 
 def _header_int(path: str, name: str, token: bytes) -> int:

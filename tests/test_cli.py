@@ -144,6 +144,17 @@ class TestTrackCommand:
         assert rc == 2
         assert f"{path}: PGM" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("data", [
+        b"P5\n4 2\n255#c\n" + bytes(8), b"P5\n4 2\n15\n" + bytes([200] * 8)])
+    def test_malformed_pgm_body_exits_2_with_path(self, tmp_path, capsys, data):
+        seq = tmp_path / "seq"
+        seq.mkdir()
+        path = seq / pgm.frame_filename(0)
+        path.write_bytes(data)
+        rc = main(["track", str(seq), "--roi", "0,0,4,2", "--out", str(tmp_path / "t")])
+        assert rc == 2
+        assert f"{path}: PGM" in capsys.readouterr().err
+
     def test_long_miss_run_exits_1(self, tmp_path):
         s = quantized_scenario(duration=3.0,
                                dropouts=[(0.6, 3.0)])  # 60 trailing miss frames

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -6,14 +7,17 @@ from hypothesis import assume, given, settings, strategies as st
 
 from conftest import window
 from uavtrack import estimator, matcher, simulator
+from uavtrack.config import TrackerConfig
 from uavtrack.errors import UndefinedScore, WindowTooSmall
 from uavtrack.imaging import (
     Frame, Patch, TemplateBank, build_template_bank, extract_patch, warp_geometry,
 )
 from uavtrack.matcher import (
-    SchedulerState, WindowStats, _direct_numerator, _fast_len, _fft_numerator,
-    detect, schedule_order, zmncc_fast, zmncc_oracle,
+    TEMPLATE_BUDGET, CorrelationMap, Detection, SchedulerState, WindowStats,
+    _direct_numerator, _fast_len, _fft_numerator, detect, schedule_order, zmncc_fast,
+    zmncc_oracle,
 )
+from uavtrack.tracker import Tracker, track_frames
 
 
 def oracle_map(frame, template, win):
@@ -97,6 +101,13 @@ class TestFastPath:
         ok = ~np.isnan(s)
         assert s[ok].min() >= -1.0 - 1e-6 and s[ok].max() <= 1.0 + 1e-6
 
+    def test_scores_are_numerator_over_root_of_energy_times_zm_squared(self, rng):
+        frame = Frame(rng.integers(0, 256, (40, 50), dtype=np.uint8))
+        template = Patch(rng.uniform(0, 255, (7, 9)))
+        cmap = zmncc_fast(frame, template, window(-3, 2, 45, 44))
+        want = cmap.num / np.sqrt(cmap.energy * template.zm_norm ** 2)
+        assert cmap.scores.tobytes() == want.tobytes()
+
     def test_window_too_small(self, rng):
         t = Patch(rng.uniform(0, 255, (8, 8)))
         with pytest.raises(WindowTooSmall):
@@ -125,9 +136,13 @@ def planted_bank_and_frame(rng, heading=0.0):
     return bank, Frame(np.clip(pixels, 0, 255)), (25, 30)
 
 
+def score_map(stats, template, num):
+    return CorrelationMap(num, stats.energy, template.zm_norm, stats.x0, stats.y0)
+
+
 def fft_map(frame, template, win):
     stats = WindowStats(frame, win, template.pixels.shape)
-    return stats.normalize(_fft_numerator(stats, template.zm_pixels), template)
+    return score_map(stats, template, _fft_numerator(stats, template.zm_pixels))
 
 
 def oracle_at(frame, template, x, y):
@@ -263,7 +278,7 @@ class TestFftNumerator:
         for template in templates:
             num = _fft_numerator(stats, template.zm_pixels)
             num_before = num.copy()
-            shared.append(stats.normalize(num, template).scores)
+            shared.append(score_map(stats, template, num).scores)
             assert np.array_equal(num, num_before)
         assert np.array_equal(stats.spectrum, spectrum)
         for template, zm in zip(templates, zm_before):
@@ -643,6 +658,133 @@ class TestScheduler:
             assert sched.last_frame_evals <= 7
 
 
+def reference_centroid(us, vs, scores, diag):
+    """The centroid and best score of the hits, with the cluster test always
+    run: points farther than 2 x diag from the centroid drop all but the
+    cluster around the maximum."""
+    cu, cv = matcher._mean(us), matcher._mean(vs)
+    if np.any(np.hypot(us - cu, vs - cv) > 2.0 * diag):
+        k = int(np.argmax(scores))
+        keep = np.hypot(us - us[k], vs - vs[k]) <= 2.0 * diag
+        us, vs, scores = us[keep], vs[keep], scores[keep]
+        cu, cv = matcher._mean(us), matcher._mean(vs)
+    return cu, cv, float(scores.max())
+
+
+def reference_detect(frame, bank, sched, win, threshold):
+    """``detect`` on full score maps: every placement of every scheduled
+    template is scored and a hit is any score >= threshold."""
+    order = schedule_order(sched, bank.size)
+    tw, th = bank.canvas
+    stats = WindowStats(frame, win, (th, tw))
+    for evals, index in enumerate(order, start=1):
+        cmap = zmncc_fast(frame, bank.templates[index], win, stats)
+        hits = cmap.scores >= threshold
+        if hits.any():
+            vs, us = np.nonzero(hits)
+            cu, cv, best = reference_centroid(us.astype(np.float64), vs.astype(np.float64),
+                                              cmap.scores[vs, us], math.hypot(tw, th))
+            sched.matched = index
+            sched.last_frame_evals = evals
+            return Detection(position=(int(round(cmap.x0 + cu + (tw - 1) / 2.0)),
+                                       int(round(cmap.y0 + cv + (th - 1) / 2.0))),
+                             score=best, template_index=index)
+    start = sched.matched - 2 if sched.matched is not None else sched.sweep_start
+    sched.sweep_start = (start + 1) % bank.size
+    sched.matched = None
+    sched.last_frame_evals = len(order)
+    return None
+
+
+def assert_detect_is_reference(frame, bank, win, threshold, sched=None):
+    """``detect`` and ``reference_detect`` from copies of ``sched`` agree in
+    the detection and every scheduler field. Returns the detection."""
+    sched = sched or SchedulerState()
+    got_sched, want_sched = dataclasses.replace(sched), dataclasses.replace(sched)
+    got = detect(frame, bank, got_sched, win, threshold)
+    want = reference_detect(frame, bank, want_sched, win, threshold)
+    assert got == want
+    assert (got_sched.matched, got_sched.sweep_start, got_sched.last_frame_evals) == \
+        (want_sched.matched, want_sched.sweep_start, want_sched.last_frame_evals)
+    return got
+
+
+@pytest.fixture(params=["direct", "fft"])
+def numerator(request, monkeypatch):
+    """Run a test with every map's numerator the direct strip product, then FFT."""
+    monkeypatch.setattr(matcher, "_DIRECT_MAX_MACS", 10 ** 12 if request.param == "direct" else 0)
+    return request.param
+
+
+def two_plant_frame(rng):
+    """An 80x80 frame holding bank template 0 at (5, 5) and a weaker echo of
+    it at (60, 60), and the bank."""
+    bank = build_template_bank(Patch(rng.uniform(0, 255, (6, 6))))
+    side = bank.canvas[0]
+    tpl0 = bank.templates[0]
+    pixels = rng.uniform(0, 255, (80, 80))
+    pixels[5:5 + side, 5:5 + side] = tpl0.pixels
+    # A weaker echo far away: the template blended toward an independent
+    # random patch. (An affine copy of the template would score as high
+    # as the exact copy, since ZMNCC ignores gain and offset.)
+    echo = 0.9 * tpl0.pixels + 0.1 * rng.uniform(0, 255, tpl0.pixels.shape)
+    pixels[60:60 + side, 60:60 + side] = echo
+    return bank, Frame(pixels)
+
+
+@st.composite
+def detect_cases(draw):
+    """A bank of 1-8 random templates, a frame holding a noisy, maybe
+    inverted copy of one of them and maybe a flat block, a window that may
+    overhang the frame, a scheduler state and a threshold: drawn, or one of
+    the first scheduled map's defined scores moved by -1, 0 or +1 ulp."""
+    th = draw(st.integers(2, 9))
+    tw = draw(st.integers(2, 9))
+    fh = draw(st.integers(th, th + 40))
+    fw = draw(st.integers(tw, tw + 40))
+    win = draw_window(draw, fh, fw, th, tw)
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    bank = TemplateBank(templates=tuple(
+        Patch(rng.uniform(0.0, 255.0, (th, tw))) for _ in range(draw(st.integers(1, 8)))))
+    if draw(st.booleans()):
+        pixels = rng.integers(0, 256, (fh, fw)).astype(np.float64)
+    else:
+        pixels = rng.uniform(0.0, 255.0, (fh, fw))
+    y, x = int(rng.integers(0, fh - th + 1)), int(rng.integers(0, fw - tw + 1))
+    plant = bank.templates[int(rng.integers(bank.size))].pixels
+    plant = plant + draw(st.floats(0.0, 120.0)) * rng.standard_normal(plant.shape)
+    plant = np.clip(plant, 0.0, 255.0)
+    pixels[y:y + th, x:x + tw] = 255.0 - plant if draw(st.booleans()) else plant
+    if draw(st.booleans()):
+        bh, bw = int(rng.integers(1, fh + 1)), int(rng.integers(1, fw + 1))
+        by, bx = int(rng.integers(0, fh - bh + 1)), int(rng.integers(0, fw - bw + 1))
+        pixels[by:by + bh, bx:bx + bw] = float(rng.integers(0, 256))
+    frame = Frame(pixels)
+    sched = SchedulerState(matched=draw(st.none() | st.integers(0, bank.size - 1)),
+                           sweep_start=draw(st.integers(0, bank.size - 1)))
+    threshold = draw(st.floats(1e-6, 1.0))
+    if draw(st.booleans()):
+        first = bank.templates[schedule_order(sched, bank.size)[0]]
+        scores = zmncc_fast(frame, first, win).scores
+        defined = scores[(scores > 0.0) & (scores <= 1.0)]
+        if defined.size:
+            score = float(defined[int(rng.integers(defined.size))])
+            step = draw(st.sampled_from([0.0, 2.0, -1.0]))
+            threshold = min(1.0, float(np.nextafter(score, step)) if step else score)
+    return frame, bank, win, sched, threshold
+
+
+def acquire_scene(heading, x, y, n_frames):
+    """A 200x150 quantized scene: the 30x33 sprite at (x, y) and ``heading``
+    among three distractors."""
+    duration = n_frames / 25.0
+    return simulator.Scenario(
+        width=200, height=150, fps=25.0, duration=duration, seed=5,
+        position=[(0.0, x, y), (duration, x + 2.0, y - 1.0)], heading=[(0.0, heading)],
+        gain=[(0.0, 1.0)], offset=[(0.0, 0.0)], sprite_width=30, sprite_height=33,
+        distractors=3, quantize=True)
+
+
 class TestDetect:
     def test_unrotated_plant_matches_template_zero(self, rng):
         bank, frame, (x, y) = planted_bank_and_frame(rng)
@@ -671,18 +813,9 @@ class TestDetect:
         assert sched == SchedulerState(sweep_start=1)
 
     def test_multimodal_keeps_max_cluster(self, rng):
-        t = Patch(rng.uniform(0, 255, (6, 6)))
-        bank = build_template_bank(t)
+        bank, frame = two_plant_frame(rng)
         side = bank.canvas[0]
         tpl0 = bank.templates[0]
-        pixels = rng.uniform(0, 255, (80, 80))
-        pixels[5:5 + side, 5:5 + side] = tpl0.pixels
-        # A weaker echo far away: the template blended toward an independent
-        # random patch. (An affine copy of the template would score as high
-        # as the exact copy, since ZMNCC ignores gain and offset.)
-        echo = 0.9 * tpl0.pixels + 0.1 * rng.uniform(0, 255, tpl0.pixels.shape)
-        pixels[60:60 + side, 60:60 + side] = echo
-        frame = Frame(pixels)
         exact = zmncc_oracle(frame.pixels, tpl0, (5, 5))
         weaker = zmncc_oracle(frame.pixels, tpl0, (60, 60))
         assert 0.9 <= weaker < exact
@@ -697,3 +830,118 @@ class TestDetect:
         with pytest.raises(ValueError):
             detect(Frame(np.zeros((30, 30))), bank, SchedulerState(),
                    window(0, 0, 30, 30), 0.0)
+
+    @pytest.mark.parametrize("pick", ["max", "median"])
+    def test_threshold_at_a_score_and_one_ulp_either_side(self, rng, numerator, pick):
+        bank, frame, (x, y) = planted_bank_and_frame(rng)
+        side = bank.canvas[0]
+        noisy = frame.pixels.copy()
+        noisy[y:y + side, x:x + side] += 12.0 * rng.standard_normal((side, side))
+        frame, win = Frame(np.clip(noisy, 0.0, 255.0)), window(0, 0, 90, 90)
+        scores = zmncc_fast(frame, bank.templates[0], win).scores
+        positive = scores[scores > 0.0]
+        score = float(positive.max() if pick == "max" else np.median(positive))
+        assert 0.0 < score < 1.0
+        below, above = np.nextafter(score, 0.0), np.nextafter(score, 1.0)
+        for threshold in (below, score, above):
+            det = assert_detect_is_reference(frame, bank, win, float(threshold))
+            if threshold <= score:
+                assert det is not None and det.template_index == 0
+        if pick == "max":
+            det = detect(frame, bank, SchedulerState(), win, score)
+            assert det.score == score
+
+    def test_flat_regions_where_the_energy_is_nan(self, rng, numerator):
+        bank, frame, _ = planted_bank_and_frame(rng, heading=20.0)
+        pixels = np.full((130, 130), 105.0)  # NaN energy wherever a placement lies inside
+        pixels[:90, :90] = frame.pixels
+        pixels[:24, :] = 90.0
+        win = window(0, 0, 130, 130)
+        stats = WindowStats(Frame(pixels), win, bank.templates[0].pixels.shape)
+        assert np.isnan(stats.energy).any() and not np.isnan(stats.energy).all()
+        det = assert_detect_is_reference(Frame(pixels), bank, win, 0.9)
+        assert det is not None and det.template_index == 2
+        flat = Frame(np.full((130, 130), 105.0))
+        assert assert_detect_is_reference(flat, bank, win, 0.9) is None
+        assert assert_detect_is_reference(flat, bank, win, 1e-9) is None
+
+    def test_negative_correlation_is_no_hit(self, rng, numerator):
+        bank, frame, (x, y) = planted_bank_and_frame(rng)
+        side = bank.canvas[0]
+        pixels = frame.pixels.copy()
+        pixels[y:y + side, x:x + side] = 255.0 - pixels[y:y + side, x:x + side]
+        frame, win = Frame(pixels), window(0, 0, 90, 90)
+        assert zmncc_fast(frame, bank.templates[0], win).scores[y, x] < -0.99
+        for threshold in (0.9, 0.05):
+            assert_detect_is_reference(frame, bank, win, threshold)
+        assert detect(frame, bank, SchedulerState(), win, 0.9) is None
+
+    def test_two_clusters_in_a_large_window(self, rng, numerator):
+        bank, frame = two_plant_frame(rng)
+        win = window(0, 0, 80, 80)
+        wh = ww = 80 - bank.canvas[0] + 1
+        assert math.hypot(wh, ww) > 4.0 * math.hypot(*bank.canvas)
+        det = assert_detect_is_reference(frame, bank, win, 0.9)
+        cx = 5 + (bank.canvas[0] - 1) / 2.0
+        assert math.hypot(det.position[0] - cx, det.position[1] - cx) <= 1.0
+
+    @pytest.mark.parametrize("grid, skipped", [
+        ((18, 18), True),    # the grid's diagonal is exactly two template diagonals
+        ((18, 19), False),   # one placement column more
+        ((23, 23), False),   # wide enough for the cluster test to drop a hit
+    ])
+    def test_grid_at_and_past_the_cluster_skip(self, rng, grid, skipped):
+        side = 9
+        diag = math.hypot(side, side)
+        assert (math.hypot(*grid) <= 2.0 * diag) == skipped
+        # One hit in a corner, many in the opposite one: the farthest any hit
+        # can lie from the centroid of a grid this size.
+        wh, ww = grid
+        vs = np.array([0.0] + [wh - 1.0 - k % 3 for k in range(30)])
+        us = np.array([0.0] + [ww - 1.0 - k // 3 for k in range(30)])
+        scores = rng.uniform(0.9, 1.0, us.size)
+        got = matcher._centroid_cluster(us, vs, scores, diag, grid)
+        assert got == reference_centroid(us, vs, scores, diag)
+        assert (got[:2] == (matcher._mean(us), matcher._mean(vs))) == (grid != (23, 23))
+        bank = build_template_bank(Patch(rng.uniform(0, 255, (6, 6))))
+        assert bank.canvas == (side, side)
+        pixels = rng.uniform(0, 255, (50, 50))
+        pixels[3:3 + side, 3:3 + side] = bank.templates[0].pixels
+        pixels[3 + wh - 1:3 + wh - 1 + side, 3 + ww - 1:3 + ww - 1 + side] = \
+            bank.templates[0].pixels
+        win = window(3, 3, 3 + ww + side - 1, 3 + wh + side - 1)
+        assert WindowStats(Frame(pixels), win, (side, side)).energy.shape == grid
+        assert assert_detect_is_reference(Frame(pixels), bank, win, 0.9) is not None
+
+    @settings(max_examples=200, deadline=None)
+    @given(detect_cases(), st.booleans())
+    def test_equals_full_map_reference(self, case, fft):
+        frame, bank, win, sched, threshold = case
+        with pytest.MonkeyPatch.context() as mp:
+            if fft:
+                mp.setattr(matcher, "_DIRECT_MAX_MACS", 0)
+            assert_detect_is_reference(frame, bank, win, threshold, sched)
+
+    def test_track_frames_sweeps_to_the_lock_like_the_reference(self, monkeypatch):
+        reference = acquire_scene(0.0, 60.0, 50.0, 1)
+        renderer = simulator.SceneRenderer(reference)
+        ref_frame, ref_roi = renderer.render(0)[0], renderer.target_rect_frame0()
+        scene = acquire_scene(95.0, 120.0, 80.0, 8)
+
+        def run():
+            tracker = Tracker(TrackerConfig(), frame_size=(scene.width, scene.height))
+            # The template comes from the reference scene, not the tracked one.
+            select = tracker.select
+            monkeypatch.setattr(tracker, "select", lambda frame, roi: select(ref_frame, ref_roi))
+            renderer = simulator.SceneRenderer(scene)
+            source = (renderer.render(k) for k in range(scene.n_frames))
+            return [dataclasses.replace(r, wall_ms=0.0)
+                    for r in track_frames(tracker, source, ref_roi)]
+
+        got = run()
+        lock = next(k for k, r in enumerate(got) if r.detected)
+        assert lock >= 3 and got[lock].template_index == 9
+        maps = sum(r.templates_evaluated for r in got[:lock + 1])
+        assert maps == TEMPLATE_BUDGET * (9 - TEMPLATE_BUDGET + 2)  # sweep_maps(9)
+        monkeypatch.setattr(matcher, "detect", reference_detect)
+        assert got == run()

@@ -70,6 +70,27 @@ def test_bad_header_field_names_file(tmp_path, header, message):
     assert str(e.value) == f"{p}: {message}"
 
 
+@pytest.mark.parametrize("data, message", [
+    (b"P5\n4 2\n255#c\n" + bytes(8), "PGM maxval 255 is not followed by one whitespace byte"),
+    (b"P5\n4 2\n255", "PGM maxval 255 is not followed by one whitespace byte"),
+    (b"P5\n4 2\n15\n" + bytes([3, 200, 0, 15, 9, 9, 9, 9]),
+     "PGM pixel value 200 exceeds maxval 15"),
+])
+def test_malformed_body_names_file(tmp_path, data, message):
+    p = tmp_path / "bad.pgm"
+    p.write_bytes(data)
+    with pytest.raises(ValueError) as e:
+        pgm.read_pgm(str(p))
+    assert str(e.value) == f"{p}: {message}"
+
+
+def test_pixels_start_one_byte_after_maxval(tmp_path):
+    # The first pixel is 10, a newline byte: only one separator is skipped.
+    p = tmp_path / "low.pgm"
+    p.write_bytes(b"P5\n4 1\n15 " + bytes([10, 15, 7, 0]))
+    assert np.array_equal(pgm.read_pgm(str(p)), [[10, 15, 7, 0]])
+
+
 class TestSequences:
     def _frames(self, rng, n=4):
         return [Frame(rng.integers(0, 256, (6, 8)).astype(float),
