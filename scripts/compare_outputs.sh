@@ -16,9 +16,9 @@
 #     (`dropout=0.0-0.5`), which exits 2 before any frame is tracked;
 #   - `track --dump-frames` of that exported sequence from the copy's
 #     frame-0 target rectangle: track_log.csv and the annotated PGM frames;
-#   - `benchmark` of two small patch sizes over 40 frames, which track the
-#     start of the 600-frame path: its CSV without the fps column, and no
-#     stdout, since both hold timings;
+#   - `benchmark` of the four default patch sizes over 40 frames, which
+#     track the start of the 600-frame path: its CSV without the fps
+#     column, and no stdout, since both hold timings;
 # keeping every command's stdout, stderr and exit code unless noted. It then
 # compares the two result trees, without the input files, with `diff -r` and
 # exits 0 when they match, 1 when they differ and 2 on a usage error. When
@@ -149,7 +149,7 @@ print(",".join(str(v) for v in simulator.SceneRenderer(scenario).target_rect_fra
     for name in benign benign_config dropout centering quantized; do
         if [ -f "$name/report.csv" ]; then drop_column "$name/report.csv" wall_ms; fi
     done
-    uav benchmark benchmark --sizes 20x22,27x28 --frames 40 --csv bench.csv
+    uav benchmark benchmark --frames 40 --csv bench.csv
     rm -f benchmark.stdout
     if [ -f bench.csv ]; then drop_column bench.csv fps; fi
     # The inputs are not outputs: the two checkouts' files may differ in comments.

@@ -128,12 +128,27 @@ def parse_kv(text: str, source: str, readers: dict[str, Callable[[str], object]]
 
 
 def read_text(path: str, kind: str) -> str:
-    """The text of the ``kind`` file at ``path``, or a ConfigError."""
+    """The text of the ``kind`` file at ``path``, UTF-8 with every line
+    ending read as ``\n``, or a ConfigError naming the file, and the line of
+    the first byte that is not UTF-8."""
     try:
-        with open(path) as f:
-            return f.read()
+        with open(path, "rb") as f:
+            data = f.read()
     except OSError as e:
         raise ConfigError(f"cannot read {kind} {path}: {e}") from None
+    try:
+        text = data.decode("utf-8")
+    except UnicodeDecodeError as e:
+        lineno = _newlines(data[:e.start].decode("utf-8")).count("\n") + 1
+        raise ConfigError(f"{path}:{lineno}: {kind} is not UTF-8 text "
+                          f"(byte 0x{data[e.start]:02x})") from None
+    return _newlines(text)
+
+
+def _newlines(text: str) -> str:
+    """``text`` with ``\r\n`` and ``\r`` line endings read as ``\n``, as
+    a file opened in text mode reads them."""
+    return text.replace("\r\n", "\n").replace("\r", "\n")
 
 
 def kv_text(kind: str, obj, items: Iterable[tuple[str, str]] = ()) -> str:

@@ -24,7 +24,12 @@ computed per template, also by cost: one matrix product of the region,
 read in place as overlapping row strips, with a block-Toeplitz form of the
 template while its multiply-adds stay within ``_DIRECT_MAX_MACS``
 (steady-state windows need at most about 7e5), and FFT cross-correlation of
-the region, padded to a 5-smooth size, beyond it. The region's spectrum is
+the region, padded to a 5-smooth size, beyond it. What depends only on the
+template and the window's shape is built once per shape: the box-sum bands
+of the last eight placement grids are memoized, and ``detect`` keeps each
+tracker's block-Toeplitz templates of its last two (template, window shape)
+pairs in its ``SchedulerState``. A steady window alternates between two
+shapes, so about 84% of steady maps reuse one. The region's spectrum is
 held transposed, so every FFT pass runs along contiguous rows. A map keeps
 the numerator and forms its scores only when asked; ``detect`` compares
 each numerator with one bound per frame and scores only the placements
@@ -38,6 +43,7 @@ from __future__ import annotations
 
 import functools
 import math
+from collections import OrderedDict
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Optional
 
@@ -69,6 +75,14 @@ _FLAT_ENERGY_TOL = 1e-3
 # strip product costs as much as a frame's first FFT map, and only windows
 # grown by a miss lie between.
 _DIRECT_MAX_MACS = 2_000_000
+
+# Block-Toeplitz templates a tracker keeps (``SchedulerState.toeplitz``),
+# least recently used first out. A steady window alternates between two
+# shapes, so two entries hold the matched template in both: on perfbench's
+# steady640 (seed 1) they serve 83.9% of direct maps, three 84.2%, four
+# 86.6% and eight 88.8%. Four entries raised sim_replay's peak RSS 0.8 MB
+# more than two.
+_TOEPLITZ_ENTRIES = 2
 
 
 @dataclass(frozen=True)
@@ -137,12 +151,19 @@ class SchedulerState:
     k+4, so the template that matched last is tried first. After a full miss
     it sweeps consecutive templates from ``sweep_start``: one template after
     the start of the missed frame's set, which is k-2 after a match. A fresh
-    tracker sweeps from template 0.
+    tracker sweeps from template 0. ``detect`` also keeps here the
+    block-Toeplitz templates of recent direct maps, so a new state, as
+    ``Tracker.select`` makes, starts without them.
     """
 
     matched: Optional[int] = None
     sweep_start: int = 0
     last_frame_evals: int = field(default=0, compare=False)
+    # Read-only block-Toeplitz templates by (bank index, ww, w), each with
+    # the Patch it was built from, most recently used last. A copy made by
+    # dataclasses.replace starts empty.
+    toeplitz: OrderedDict = field(default_factory=OrderedDict, init=False,
+                                  compare=False, repr=False)
 
 
 def schedule_order(sched: SchedulerState, bank_size: int) -> list[int]:
@@ -220,9 +241,7 @@ class WindowStats:
         # Box sums, a tile of placement rows at a time: rows @ a sums each run
         # of th rows of a, and a @ cols each run of tw columns. Nothing
         # frame-sized is allocated here but g and energy.
-        n, m = _tile(wh, th, w), _tile(ww, tw, wh)
-        rows = _band(n, n + th - 1, th)
-        cols = rows.T if (n, th) == (m, tw) else _band(m, m + tw - 1, tw).T
+        n, m, rows, cols = _box_plan(wh, ww, w, th, tw, _DIRECT_MAX_MACS)
         energy = np.empty((wh, ww))
         for i in range(0, wh, n):
             k = min(n, wh - i)
@@ -283,6 +302,26 @@ def _tile(outputs: int, k: int, depth: int) -> int:
     return min(outputs, max(1, n))
 
 
+# Eight plans hold every window shape of a steady run; 16 raised steady640's
+# peak RSS by 0.7 MB more.
+@functools.lru_cache(maxsize=8)
+def _box_plan(wh: int, ww: int, w: int, th: int, tw: int,
+              budget: int) -> tuple[int, int, np.ndarray, np.ndarray]:
+    """The tiles ``n`` and ``m`` of a ``(wh, ww)`` placement grid's box sums
+    and the read-only bands ``rows`` (``n x (n+th-1)``) and ``cols``
+    (``(m+tw-1) x m``), shared by every window of that shape. ``budget`` is
+    ``_DIRECT_MAX_MACS``, which ``_tile`` reads: a changed budget never
+    finds a plan tiled for another."""
+    n, m = _tile(wh, th, w), _tile(ww, tw, wh)
+    rows = _band(n, n + th - 1, th)
+    rows.flags.writeable = False
+    if (n, th) == (m, tw):
+        return n, m, rows, rows.T
+    cols = _band(m, m + tw - 1, tw)
+    cols.flags.writeable = False
+    return n, m, rows, cols.T
+
+
 def _box_sums(rows: np.ndarray, a: np.ndarray, cols: np.ndarray, ww: int) -> np.ndarray:
     """``rows @ a @ cols``, the sums over every box of ``a`` for 0/1 bands,
     the second product taken ``m = cols.shape[1]`` of ``ww`` columns at a time."""
@@ -309,21 +348,51 @@ def _fast_len(n: int) -> int:
         n += 1
 
 
-def _direct_numerator(stats: WindowStats, tzm: np.ndarray) -> np.ndarray:
+def _toeplitz(tzm: np.ndarray, ww: int, w: int) -> np.ndarray:
+    """The ``(ww, th*w)`` block-Toeplitz form of a ``(th, tw)`` template,
+    ``T[u, i*w + u + j] = t[i, j]``, written through one strided view."""
+    th, tw = tzm.shape
+    toeplitz = np.zeros((ww, th, w))
+    su, si, sj = toeplitz.strides
+    np.ndarray((ww, th, tw), toeplitz.dtype, toeplitz, 0, (su + sj, si, sj))[...] = tzm
+    return toeplitz.reshape(ww, th * w)
+
+
+def _cached_toeplitz(cache: OrderedDict, index: int, template: Patch,
+                     ww: int, w: int) -> np.ndarray:
+    """``_toeplitz`` of bank template ``index`` for a ``(ww, w)`` window,
+    read-only, from ``cache`` when its entry was built from this very
+    ``template``; otherwise built and kept, dropping the least recently used
+    entry beyond ``_TOEPLITZ_ENTRIES``."""
+    key = (index, ww, w)
+    entry = cache.get(key)
+    if entry is not None and entry[0] is template:
+        cache.move_to_end(key)
+        return entry[1]
+    toeplitz = _toeplitz(template.zm_pixels, ww, w)
+    toeplitz.flags.writeable = False
+    cache[key] = (template, toeplitz)
+    cache.move_to_end(key)
+    if len(cache) > _TOEPLITZ_ENTRIES:
+        cache.popitem(last=False)
+    return toeplitz
+
+
+def _direct_numerator(stats: WindowStats, tzm: np.ndarray,
+                      toeplitz: Optional[np.ndarray] = None) -> np.ndarray:
     """Zero-mean numerator as one product of row strips and a block-Toeplitz
     template (MEC's lowering: Cho & Brand, ICML 2017). Rows ``v .. v+th-1``
     of the C-contiguous centred region are one run, so the region read as a
-    ``(wh, th*w)`` matrix with row stride ``w`` needs no copy; the template's
-    ``T[u, i*w + u + j] = t[i, j]`` is written through one strided view."""
-    th, tw = tzm.shape
+    ``(wh, th*w)`` matrix with row stride ``w`` needs no copy. ``toeplitz``,
+    if given, is ``_toeplitz(tzm, ww, w)``; otherwise it is built here."""
+    th = tzm.shape[0]
     wh, ww = stats.energy.shape
     w = stats.g.shape[1]
     strips = np.ndarray((wh, th * w), stats.g.dtype, stats.g, 0, stats.g.strides)
     strips.flags.writeable = False
-    toeplitz = np.zeros((ww, th, w))
-    su, si, sj = toeplitz.strides
-    np.ndarray((ww, th, tw), toeplitz.dtype, toeplitz, 0, (su + sj, si, sj))[...] = tzm
-    return np.dot(strips, toeplitz.reshape(ww, th * w).T)
+    if toeplitz is None:
+        toeplitz = _toeplitz(tzm, ww, w)
+    return np.dot(strips, toeplitz.T)
 
 
 def _fft_numerator(stats: WindowStats, tzm: np.ndarray) -> np.ndarray:
@@ -347,7 +416,8 @@ def _fft_numerator(stats: WindowStats, tzm: np.ndarray) -> np.ndarray:
 
 
 def zmncc_fast(frame: Frame, template: Patch, window: "SearchWindow",
-               stats: Optional[WindowStats] = None) -> CorrelationMap:
+               stats: Optional[WindowStats] = None,
+               toeplitz: Optional[np.ndarray] = None) -> CorrelationMap:
     """ZMNCC score map over every placement of ``template`` in ``window``.
 
     Window sums and sums of squares come from ``WindowStats``, built over
@@ -356,7 +426,9 @@ def zmncc_fast(frame: Frame, template: Patch, window: "SearchWindow",
     within ``_DIRECT_MAX_MACS``, and FFT cross-correlation beyond.
     Accumulation is float64 throughout.
     ``stats``, if given, must have been built from the same ``frame`` and
-    ``window`` for the template's shape.
+    ``window`` for the template's shape. ``toeplitz``, if given, must be the
+    template's block-Toeplitz form for that window (``_cached_toeplitz``);
+    without it a direct numerator builds its own.
     """
     if stats is None:
         stats = WindowStats(frame, window, template.pixels.shape)
@@ -367,26 +439,31 @@ def zmncc_fast(frame: Frame, template: Patch, window: "SearchWindow",
     if template.is_constant:
         raise UndefinedScore("template is constant")
     if stats.direct:
-        num = _direct_numerator(stats, template.zm_pixels)
+        num = _direct_numerator(stats, template.zm_pixels, toeplitz)
     else:
         num = _fft_numerator(stats, template.zm_pixels)
     return CorrelationMap(num, stats.energy, template.zm_norm, stats.x0, stats.y0)
 
 
-def _centroid_cluster(us: np.ndarray, vs: np.ndarray, scores: np.ndarray,
-                      diag: float, grid: tuple[int, int]) -> tuple[float, float, float]:
-    """Centroid of matching placements; multimodal maps keep only the
-    cluster around the maximum score (points within 2 x template diagonal).
-    No point lies that far from the centroid when the ``(wh, ww)`` placement
-    grid's own diagonal is no longer, as in every steady-state window.
+def _centroid_cluster(us, vs, scores, diag: float,
+                      grid: tuple[int, int]) -> tuple[float, float, float]:
+    """Centroid of matching placements at whole-number coordinates ``us``,
+    ``vs`` with ``scores``; multimodal maps keep only the cluster around the
+    maximum score (points within 2 x template diagonal). No point lies that
+    far from the centroid when the ``(wh, ww)`` placement grid's own
+    diagonal is no longer, as in every steady-state window. A sum of whole
+    numbers is exact, so each mean, one rounded division, has the bits of
+    ``_mean`` of the same coordinates as float64.
     """
-    cu, cv = _mean(us), _mean(vs)
-    if math.hypot(*grid) > 2.0 * diag and np.any(np.hypot(us - cu, vs - cv) > 2.0 * diag):
-        k = int(np.argmax(scores))
-        keep = np.hypot(us - us[k], vs - vs[k]) <= 2.0 * diag
-        us, vs, scores = us[keep], vs[keep], scores[keep]
-        cu, cv = _mean(us), _mean(vs)
-    return cu, cv, float(scores.max())
+    cu, cv = sum(us) / len(us), sum(vs) / len(vs)
+    if math.hypot(*grid) > 2.0 * diag:
+        us, vs, scores = (np.asarray(a, dtype=np.float64) for a in (us, vs, scores))
+        if np.any(np.hypot(us - cu, vs - cv) > 2.0 * diag):
+            k = int(np.argmax(scores))
+            keep = np.hypot(us - us[k], vs - vs[k]) <= 2.0 * diag
+            us, vs, scores = us[keep], vs[keep], scores[keep]
+            cu, cv = _mean(us), _mean(vs)
+    return float(cu), float(cv), float(max(scores))
 
 
 def detect(frame: Frame, bank: TemplateBank, sched: SchedulerState,
@@ -417,8 +494,12 @@ def detect(frame: Frame, bank: TemplateBank, sched: SchedulerState,
     stats = WindowStats(frame, window, (th, tw))
     bound = None
     evals = 0
+    wh, ww = stats.energy.shape
     for index in order:
-        cmap = zmncc_fast(frame, bank.templates[index], window, stats)
+        template = bank.templates[index]
+        toeplitz = (_cached_toeplitz(sched.toeplitz, index, template, ww, stats.g.shape[1])
+                    if stats.direct else None)
+        cmap = zmncc_fast(frame, template, window, stats, toeplitz)
         evals += 1
         if bound is None:  # built once the first numerator's temporaries are freed
             zmin = min(bank.templates[i].zm_norm for i in order)
@@ -438,11 +519,10 @@ def detect(frame: Frame, bank: TemplateBank, sched: SchedulerState,
         sched.last_frame_evals = evals
         return None
 
-    candidates[candidates] = hits
     # Flat indices: a 2-D nonzero scans a full-frame map far slower.
-    vs, us = np.divmod(np.flatnonzero(candidates), stats.energy.shape[1])
-    cu, cv, best = _centroid_cluster(
-        us.astype(np.float64), vs.astype(np.float64), scores[hits], diag, stats.energy.shape)
+    flat = np.flatnonzero(candidates)[hits].tolist()
+    cu, cv, best = _centroid_cluster([i % ww for i in flat], [i // ww for i in flat],
+                                     scores[hits].tolist(), diag, (wh, ww))
     px = int(round(stats.x0 + cu + (tw - 1) / 2.0))
     py = int(round(stats.y0 + cv + (th - 1) / 2.0))
     sched.matched = index

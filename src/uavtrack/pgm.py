@@ -13,7 +13,7 @@ from typing import Callable, Iterable, Iterator
 
 import numpy as np
 
-from .config import read_float
+from .config import read_float, read_text
 from .imaging import Frame
 
 _FRAME_RE = re.compile(r"^frame_(\d+)\.pgm$")
@@ -121,7 +121,8 @@ def load_sequence(dirpath: str, fps: float) -> Iterator[Frame]:
     Without a sidecar, frame N is at N / fps, so a gap in the indices is a
     gap in time. Every timestamp is checked before any frame is read. Raises
     ValueError for an empty directory, mismatched sidecar length, a sidecar
-    line that is not a finite number (named by its line number), or
+    that cannot be read or is not UTF-8, a sidecar line that is not a finite
+    number (each named by its line number), or
     timestamps that fail to strictly increase; a malformed frame raises
     ValueError when the iteration reaches it.
     """
@@ -134,9 +135,9 @@ def load_sequence(dirpath: str, fps: float) -> Iterator[Frame]:
 
     sidecar = os.path.join(dirpath, TIMESTAMP_SIDECAR)
     if os.path.exists(sidecar):
-        with open(sidecar) as f:
-            timestamps = [_parse_timestamp(line, sidecar, lineno)
-                          for lineno, line in enumerate(f, start=1) if line.strip()]
+        lines = read_text(sidecar, "timestamp sidecar").split("\n")
+        timestamps = [_parse_timestamp(line, sidecar, lineno)
+                      for lineno, line in enumerate(lines, start=1) if line.strip()]
         if len(timestamps) != len(entries):
             raise ValueError(
                 f"{sidecar}: {len(timestamps)} timestamps for {len(entries)} frames")

@@ -120,6 +120,18 @@ class TestTrackCommand:
         assert rc == 2
         assert f"{pgm.TIMESTAMP_SIDECAR}:4: cannot parse 'soon'" in capsys.readouterr().err
 
+    def test_sidecar_not_utf8_exits_2_with_path_and_line(self, exported, tmp_path, capsys):
+        _, _, seq = exported
+        sidecar = seq / pgm.TIMESTAMP_SIDECAR
+        lines = sidecar.read_bytes().splitlines()
+        lines[3] = b"0.1\xff"
+        sidecar.write_bytes(b"\n".join(lines) + b"\n")
+        rc = main(["track", str(seq), "--roi", "10,10,30,30",
+                   "--out", str(tmp_path / "t")])
+        assert rc == 2
+        assert capsys.readouterr().err == \
+            f"error: {sidecar}:4: timestamp sidecar is not UTF-8 text (byte 0xff)\n"
+
     def test_truncated_frame_exits_2_without_log(self, exported, tmp_path, capsys):
         scn, _, seq = exported
         s = simulator.parse_scenario(open(scn).read())
@@ -211,6 +223,23 @@ class TestSimulateCommand:
         assert rc == 2
         key, value = entry.split("=")
         assert f"bad.cfg:1: '{value}' is not a finite number for '{key}'" in capsys.readouterr().err
+
+    def test_scenario_not_utf8_exits_2_with_path_and_line(self, tmp_path, capsys):
+        # Line endings count as a file opened in text mode reads them.
+        bad = tmp_path / "bad.txt"
+        bad.write_bytes(b"width=320\r\nheight=240\r# caf\xe9\n")
+        assert main(["simulate", str(bad), "--out", str(tmp_path / "o")]) == 2
+        assert capsys.readouterr().err == \
+            f"error: {bad}:3: scenario is not UTF-8 text (byte 0xe9)\n"
+
+    def test_config_not_utf8_exits_2_with_path_and_line(self, tmp_path, capsys):
+        cfg = tmp_path / "bad.cfg"
+        cfg.write_bytes(b"\xff\xfesigma=0.4\n")
+        scn = write_scenario(tmp_path / "scn.txt", quantized_scenario(duration=0.5))
+        rc = main(["simulate", scn, "--config", str(cfg), "--out", str(tmp_path / "o")])
+        assert rc == 2
+        assert capsys.readouterr().err == \
+            f"error: {cfg}:1: config is not UTF-8 text (byte 0xff)\n"
 
     def test_target_hidden_at_frame_0_exits_2(self, tmp_path, capsys):
         scn = write_scenario(tmp_path / "scn.txt",

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -67,6 +68,42 @@ class TestStep:
     def test_rejects_bad_dt(self):
         with pytest.raises(ValueError):
             step_gimbal(gimbal_state(), (0, 0), 0.0)
+
+
+    def test_new_state_is_replace_of_the_old_field_for_field(self, rng):
+        def replace_step(g, counts, dt):
+            """The step as dataclasses.replace of the old state."""
+            cap, saturated, moved = g.max_rate * dt, False, []
+            for angle, c, limit in ((g.pan, counts[0], g.pan_limit),
+                                    (g.tilt, counts[1], g.tilt_limit)):
+                command = c * g.count_resolution
+                motion = max(-cap, min(cap, command))
+                clamped = max(-limit, min(limit, angle + motion))
+                saturated |= motion != command or clamped != angle + motion
+                moved.append(clamped)
+            return dataclasses.replace(g, pan=moved[0], tilt=moved[1], saturated=saturated)
+
+        outcomes = set()
+        for _ in range(500):
+            g = gimbal_state(pan_limit=float(rng.uniform(1e-3, 0.3)),
+                             tilt_limit=float(rng.uniform(1e-3, 0.3)),
+                             max_rate=float(rng.uniform(1e-3, 5.0)),
+                             count_resolution=float(rng.uniform(1e-5, 1e-3)),
+                             saturated=bool(rng.integers(2)))
+            g = dataclasses.replace(g, pan=float(rng.uniform(-g.pan_limit, g.pan_limit)),
+                                    tilt=float(rng.uniform(-g.tilt_limit, g.tilt_limit)))
+            counts = tuple(int(c) for c in rng.integers(-2000, 2000, 2))
+            dt = float(rng.uniform(1e-3, 0.5))
+            got = step_gimbal(g, counts, dt)
+            assert type(got) is GimbalState
+            assert dataclasses.astuple(got) == dataclasses.astuple(replace_step(g, counts, dt))
+            held, _ = centering_step(None, (159.5, 119.5), CAM, g, dt)
+            assert dataclasses.astuple(held) == \
+                dataclasses.astuple(dataclasses.replace(g, saturated=False))
+            cap = g.max_rate * dt
+            outcomes.add((got.saturated, any(abs(c * g.count_resolution) > cap for c in counts)))
+        # Steps within both limits, range-limited only and rate-limited.
+        assert outcomes == {(False, False), (True, False), (True, True)}
 
 
 class TestCentering:

@@ -945,3 +945,104 @@ class TestDetect:
         assert maps == TEMPLATE_BUDGET * (9 - TEMPLATE_BUDGET + 2)  # sweep_maps(9)
         monkeypatch.setattr(matcher, "detect", reference_detect)
         assert got == run()
+
+
+def steady_window(bank, x, y, dw=0, dh=0):
+    """A steady-sized window around a plant whose top-left is at (x, y): a
+    (5 + dh) x (6 + dw) placement grid, which takes the direct numerator."""
+    side = bank.canvas[0]
+    return window(x - 2, y - 2, x - 2 + side + 5 + dw, y - 2 + side + 4 + dh)
+
+
+class TestToeplitzCache:
+    def test_read_only_within_capacity_and_least_recent_out(self, rng):
+        bank, frame, (x, y) = planted_bank_and_frame(rng)
+        sched = SchedulerState()
+        keys = []
+        for dw in range(matcher._TOEPLITZ_ENTRIES + 2):
+            win = steady_window(bank, x, y, dw=dw)
+            stats = WindowStats(frame, win, bank.templates[0].pixels.shape)
+            assert stats.direct
+            assert detect(frame, bank, sched, win, 0.9).template_index == 0
+            keys.append((0, 6 + dw, stats.g.shape[1]))
+            assert len(sched.toeplitz) <= matcher._TOEPLITZ_ENTRIES
+            assert list(sched.toeplitz) == keys[-matcher._TOEPLITZ_ENTRIES:]
+        for template, toeplitz in sched.toeplitz.values():
+            assert template is bank.templates[0]
+            assert not toeplitz.flags.writeable
+            with pytest.raises(ValueError):
+                toeplitz[0, 0] = 1.0
+        # A hit moves its entry, as it is, to the most recent end.
+        oldest = next(iter(sched.toeplitz))
+        entry = sched.toeplitz[oldest]
+        detect(frame, bank, sched, steady_window(bank, x, y, dw=oldest[1] - 6), 0.9)
+        assert list(sched.toeplitz)[-1] == oldest and sched.toeplitz[oldest] is entry
+
+    @pytest.mark.parametrize("shape", [(5, 6, 50, 45, 45), (5, 5, 49, 45, 45),
+                                       (436, 596, 640, 45, 45), (30, 2, 40, 9, 39)])
+    def test_box_plan_bands_are_read_only_and_shared(self, shape):
+        _, _, rows, cols = matcher._box_plan(*shape, matcher._DIRECT_MAX_MACS)
+        assert not rows.flags.writeable and not cols.flags.writeable
+        with pytest.raises(ValueError):
+            rows[0, 0] = 2.0
+        with pytest.raises(ValueError):
+            cols[0, 0] = 2.0
+        again = matcher._box_plan(*shape, matcher._DIRECT_MAX_MACS)
+        assert again[2] is rows and again[3] is cols
+
+    def test_equality_and_repr_ignore_it(self, rng):
+        bank, frame, (x, y) = planted_bank_and_frame(rng)
+        sched = SchedulerState()
+        detect(frame, bank, sched, steady_window(bank, x, y), 0.9)
+        assert sched.toeplitz
+        assert sched == SchedulerState(matched=0, last_frame_evals=1)
+        assert repr(sched) == repr(SchedulerState(matched=0, last_frame_evals=1))
+        assert not dataclasses.replace(sched).toeplitz
+
+    def test_select_empties_it(self, rng):
+        bank, frame, (x, y) = planted_bank_and_frame(rng)
+        tracker = Tracker(TrackerConfig(), frame_size=(90, 90))
+        tracker.select(frame, (25, 30, 24, 24))
+        detect(frame, tracker.bank, tracker.sched, steady_window(tracker.bank, x, y), 0.9)
+        assert tracker.sched.toeplitz
+        tracker.select(frame, (25, 30, 24, 24))
+        assert not tracker.sched.toeplitz
+
+    def test_one_state_with_two_banks_gives_each_banks_maps(self):
+        # Same canvas and window, so both banks' template 0 share a key.
+        bank_a, frame_a, (x, y) = planted_bank_and_frame(np.random.default_rng(1))
+        bank_b, frame_b, _ = planted_bank_and_frame(np.random.default_rng(2))
+        assert bank_a.canvas == bank_b.canvas
+        win = steady_window(bank_a, x, y)
+        sched = SchedulerState()
+        for bank, frame in ((bank_a, frame_a), (bank_b, frame_b), (bank_a, frame_a)):
+            want = reference_detect(frame, bank, dataclasses.replace(sched), win, 0.9)
+            assert detect(frame, bank, sched, win, 0.9) == want
+            assert want.template_index == 0
+            assert sched.toeplitz[(0, 6, win.x1 - win.x0)][0] is bank.templates[0]
+            stats = WindowStats(frame, win, bank.templates[0].pixels.shape)
+            for index, template in enumerate(bank.templates[:3]):
+                toeplitz = matcher._cached_toeplitz(sched.toeplitz, index, template,
+                                                    6, stats.g.shape[1])
+                assert np.array_equal(zmncc_fast(frame, template, win, stats, toeplitz).num,
+                                      zmncc_fast(frame, template, win, stats).num)
+
+    def test_successive_maps_stay_independent(self, rng):
+        bank, frame, (x, y) = planted_bank_and_frame(rng)
+        win = steady_window(bank, x, y)
+        stats = WindowStats(frame, win, bank.templates[0].pixels.shape)
+        cache = SchedulerState().toeplitz
+        maps, copies = [], []
+        for index in (0, 1, 0):
+            template = bank.templates[index]
+            toeplitz = matcher._cached_toeplitz(cache, index, template, 6, stats.g.shape[1])
+            maps.append(zmncc_fast(frame, template, win, stats, toeplitz))
+            copies.append(maps[-1].num.copy())
+            maps[-1].scores
+        for cmap, num in zip(maps, copies):
+            assert np.array_equal(cmap.num, num)
+        assert not np.shares_memory(maps[0].num, maps[2].num)
+        assert np.array_equal(maps[0].num, maps[2].num)
+        assert not np.array_equal(maps[0].num, maps[1].num)
+        maps[0].num[0, 0] += 1.0  # a map's numerator is its own
+        assert np.array_equal(maps[2].num, copies[2])

@@ -8,15 +8,16 @@ from hypothesis import assume, example, given, settings, strategies as st
 from conftest import (
     gather_warp, gimbal_state, headings, render_open_loop, standard_scenario, window,
 )
-from uavtrack import simulator
-from uavtrack.config import ConfigError
+from uavtrack import matcher, simulator
+from uavtrack.config import ConfigError, TrackerConfig
+from uavtrack.gimbal import Gimbal
 from uavtrack.errors import InvalidScenario
 from uavtrack.imaging import Patch, extract_patch, rotation_canvas_side
 from uavtrack.matcher import zmncc_fast
 from uavtrack.simulator import (
     Scenario, SceneRenderer, TruthRecord, parse_scenario, run_closed_loop, scenario_text,
 )
-from uavtrack.tracker import TrackStep, track_frames
+from uavtrack.tracker import Tracker, TrackStep, track_frames
 
 
 def small_scenario(**overrides) -> Scenario:
@@ -510,3 +511,36 @@ class TestFrameLoop:
         stages = [e for k in range(3) for e in
                   (("fetch", k), ("sink", k), ("process", k), ("step", None))]
         assert events == stages[:1] + [("select", 0, roi)] + stages[1:]
+
+    @pytest.mark.parametrize("size", [(20, 22), (27, 28), (30, 33), (38, 30)])
+    def test_toeplitz_cache_leaves_every_record_unchanged(self, monkeypatch, size):
+        # The benchmark's 640x480 scene at one paper patch size, gimbal
+        # stepped: a run that keeps its block-Toeplitz templates and one
+        # whose cache is emptied before every frame give the same records.
+        scenario = simulator.benchmark_scenario(*size, n_frames=40)
+        renderer = SceneRenderer(scenario)
+        frames = [renderer.render(k) for k in range(scenario.n_frames)]
+        built = []
+        toeplitz = matcher._toeplitz
+        monkeypatch.setattr(matcher, "_toeplitz", lambda *a: built.append(a) or toeplitz(*a))
+
+        def run(clear):
+            cfg = TrackerConfig()
+            tracker = Tracker(cfg, frame_size=(scenario.width, scenario.height))
+
+            def source():
+                for pair in frames:
+                    if clear:
+                        tracker.sched.toeplitz.clear()
+                    yield pair
+            built.clear()
+            records = [dataclasses.replace(r, wall_ms=0.0) for r in track_frames(
+                tracker, source(), renderer.target_rect_frame0(),
+                Gimbal(cfg, scenario.width, scenario.height, scenario.fps))]
+            return records, len(built)
+
+        kept, kept_builds = run(clear=False)
+        cleared, cleared_builds = run(clear=True)
+        assert kept == cleared
+        assert sum(r.detected for r in kept) == len(kept)
+        assert kept_builds < cleared_builds // 2
