@@ -5,9 +5,13 @@ change, alternating the sides (parent first on even pairs, change first on
 odd ones) so that a drift in the machine's load falls on both alike. For
 every workload and every end-to-end metric named in ``BENCHMARK.json`` it
 writes each side's runs, their median and quartiles, the median of the
-per-pair change/parent ratios and how many pairs the change won. It also
-writes the seed, the seconds per run, the CPU model and the environment
-line each run printed (cores, BLAS library and threads, Python, numpy).
+per-pair change/parent ratios and how many pairs the change won. For an
+end-to-end metric it also writes the no-regression check: how much worse
+the change's median is than the parent's, relative to the parent's median
+(negative when better), and whether that exceeds the metric's bound in
+``BENCHMARK.json``. It also writes the seed, the seconds per run, the CPU
+model and the environment line each run printed (cores, BLAS library and
+threads, Python, numpy).
 ``--trace`` adds alternating pairs of traced runs (``--trace 1``) and writes
 the same summary for the per-layer metrics, to show which layers a change
 moves. Run from anywhere:
@@ -109,7 +113,8 @@ def run_pairs(sides: dict, workload: str, k: int, args, trace: int,
 
 
 def summarize(results: dict, metrics: list) -> dict:
-    """Per metric: each side's spread, the median pair ratio and pairs won."""
+    """Per metric: each side's spread, the median pair ratio and pairs won;
+    with a ``bound``, also the change's relative worsening of the median."""
     table = {}
     for m in metrics:
         name = m["name"]
@@ -126,6 +131,11 @@ def summarize(results: dict, metrics: list) -> dict:
             "ratio_median": statistics.median(ratios),
             "pairs_better": sum(better(r) for r in ratios),
         }
+        if "bound" in m:
+            p, c = table[name]["parent"]["median"], table[name]["change"]["median"]
+            worse_by = (p - c if m["better"] == "higher" else c - p) / p
+            table[name].update(bound=m["bound"], worse_by=worse_by,
+                               beyond_bound=worse_by > m["bound"])
     return table
 
 
@@ -153,6 +163,8 @@ def main(argv=None) -> int:
         "seconds": args.seconds,
         "statistic": "per side: median and quartiles (inclusive method) over the runs; "
                      "ratio_median: median of change/parent over the pairs; "
+                     "worse_by: (change - parent) / parent of the medians, sign "
+                     "flipped for higher-is-better; beyond_bound: worse_by > bound; "
                      "pairs run alternately, parent first on even pairs",
         "parent": describe(args.parent),
         "change": describe(args.change),

@@ -68,13 +68,14 @@ class Frame:
         return self.pixels.shape[0]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Patch:
     """Template raster with cached mean and zero-mean energy.
 
     ``zm_norm`` is sqrt(sum((t - mean)^2)); it is exactly 0.0 iff the patch
     is constant, in which case the correlation of Eq.-style ZMNCC matching
-    is undefined and the patch is rejected as a template.
+    is undefined and the patch is rejected as a template. A patch compares
+    and hashes by identity, so it can key a cache of what is built from it.
     """
 
     pixels: np.ndarray
@@ -250,7 +251,8 @@ def build_template_bank(patch: Patch) -> TemplateBank:
         raise NonDiscriminativeTemplate("source patch is constant")
     stack = warp_geometry(*patch.pixels.shape, np.arange(BANK_SIZE) * BANK_STEP_DEG).apply(
         patch.pixels, patch.mean)
-    templates = tuple(Patch(canvas) for canvas in stack)
+    # Each template owns its canvas, so one kept alive does not keep the stack.
+    templates = tuple(Patch(canvas.copy()) for canvas in stack)
     for k, t in enumerate(templates):
         if t.is_constant:
             raise NonDiscriminativeTemplate(

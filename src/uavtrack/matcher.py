@@ -25,11 +25,11 @@ read in place as overlapping row strips, with a block-Toeplitz form of the
 template while its multiply-adds stay within ``_DIRECT_MAX_MACS``
 (steady-state windows need at most about 7e5), and FFT cross-correlation of
 the region, padded to a 5-smooth size, beyond it. What depends only on the
-template and the window's shape is built once per shape: the box-sum bands
-of the last eight placement grids are memoized, and ``detect`` keeps each
-tracker's block-Toeplitz templates of its last two (template, window shape)
-pairs in its ``SchedulerState``. A steady window alternates between two
-shapes, so about 84% of steady maps reuse one. The region's spectrum is
+template and the window's shape is memoized: the box-sum bands of the last
+eight placement grids and the block-Toeplitz templates of the last eight
+(template, window shape) pairs. A steady window alternates between two
+shapes, so 88% of the direct maps of a benchmark clip tracked alone reuse
+a template, and 72% with four trackers in turn. The region's spectrum is
 held transposed, so every FFT pass runs along contiguous rows. A map keeps
 the numerator and forms its scores only when asked; ``detect`` compares
 each numerator with one bound per frame and scores only the placements
@@ -43,7 +43,6 @@ from __future__ import annotations
 
 import functools
 import math
-from collections import OrderedDict
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Optional
 
@@ -75,14 +74,6 @@ _FLAT_ENERGY_TOL = 1e-3
 # strip product costs as much as a frame's first FFT map, and only windows
 # grown by a miss lie between.
 _DIRECT_MAX_MACS = 2_000_000
-
-# Block-Toeplitz templates a tracker keeps (``SchedulerState.toeplitz``),
-# least recently used first out. A steady window alternates between two
-# shapes, so two entries hold the matched template in both: on perfbench's
-# steady640 (seed 1) they serve 83.9% of direct maps, three 84.2%, four
-# 86.6% and eight 88.8%. Four entries raised sim_replay's peak RSS 0.8 MB
-# more than two.
-_TOEPLITZ_ENTRIES = 2
 
 
 @dataclass(frozen=True)
@@ -151,19 +142,12 @@ class SchedulerState:
     k+4, so the template that matched last is tried first. After a full miss
     it sweeps consecutive templates from ``sweep_start``: one template after
     the start of the missed frame's set, which is k-2 after a match. A fresh
-    tracker sweeps from template 0. ``detect`` also keeps here the
-    block-Toeplitz templates of recent direct maps, so a new state, as
-    ``Tracker.select`` makes, starts without them.
+    tracker sweeps from template 0.
     """
 
     matched: Optional[int] = None
     sweep_start: int = 0
     last_frame_evals: int = field(default=0, compare=False)
-    # Read-only block-Toeplitz templates by (bank index, ww, w), each with
-    # the Patch it was built from, most recently used last. A copy made by
-    # dataclasses.replace starts empty.
-    toeplitz: OrderedDict = field(default_factory=OrderedDict, init=False,
-                                  compare=False, repr=False)
 
 
 def schedule_order(sched: SchedulerState, bank_size: int) -> list[int]:
@@ -348,51 +332,36 @@ def _fast_len(n: int) -> int:
         n += 1
 
 
-def _toeplitz(tzm: np.ndarray, ww: int, w: int) -> np.ndarray:
-    """The ``(ww, th*w)`` block-Toeplitz form of a ``(th, tw)`` template,
-    ``T[u, i*w + u + j] = t[i, j]``, written through one strided view."""
+# Eight entries hold two alternating window shapes for each of the four
+# trackers that ``uavtrack benchmark`` interleaves. The key is the Patch
+# itself, hashed by identity; the memo's reference keeps its id from being
+# reused while the entry lives, so no bank reads another bank's matrix.
+@functools.lru_cache(maxsize=8)
+def _toeplitz(template: Patch, ww: int, w: int) -> np.ndarray:
+    """The read-only ``(ww, th*w)`` block-Toeplitz form of a ``(th, tw)``
+    template's zero-mean pixels ``t``, ``T[u, i*w + u + j] = t[i, j]``,
+    written through one strided view."""
+    tzm = template.zm_pixels
     th, tw = tzm.shape
     toeplitz = np.zeros((ww, th, w))
     su, si, sj = toeplitz.strides
     np.ndarray((ww, th, tw), toeplitz.dtype, toeplitz, 0, (su + sj, si, sj))[...] = tzm
-    return toeplitz.reshape(ww, th * w)
-
-
-def _cached_toeplitz(cache: OrderedDict, index: int, template: Patch,
-                     ww: int, w: int) -> np.ndarray:
-    """``_toeplitz`` of bank template ``index`` for a ``(ww, w)`` window,
-    read-only, from ``cache`` when its entry was built from this very
-    ``template``; otherwise built and kept, dropping the least recently used
-    entry beyond ``_TOEPLITZ_ENTRIES``."""
-    key = (index, ww, w)
-    entry = cache.get(key)
-    if entry is not None and entry[0] is template:
-        cache.move_to_end(key)
-        return entry[1]
-    toeplitz = _toeplitz(template.zm_pixels, ww, w)
+    toeplitz = toeplitz.reshape(ww, th * w)
     toeplitz.flags.writeable = False
-    cache[key] = (template, toeplitz)
-    cache.move_to_end(key)
-    if len(cache) > _TOEPLITZ_ENTRIES:
-        cache.popitem(last=False)
     return toeplitz
 
 
-def _direct_numerator(stats: WindowStats, tzm: np.ndarray,
-                      toeplitz: Optional[np.ndarray] = None) -> np.ndarray:
+def _direct_numerator(stats: WindowStats, template: Patch) -> np.ndarray:
     """Zero-mean numerator as one product of row strips and a block-Toeplitz
     template (MEC's lowering: Cho & Brand, ICML 2017). Rows ``v .. v+th-1``
     of the C-contiguous centred region are one run, so the region read as a
-    ``(wh, th*w)`` matrix with row stride ``w`` needs no copy. ``toeplitz``,
-    if given, is ``_toeplitz(tzm, ww, w)``; otherwise it is built here."""
-    th = tzm.shape[0]
+    ``(wh, th*w)`` matrix with row stride ``w`` needs no copy."""
+    th = template.pixels.shape[0]
     wh, ww = stats.energy.shape
     w = stats.g.shape[1]
     strips = np.ndarray((wh, th * w), stats.g.dtype, stats.g, 0, stats.g.strides)
     strips.flags.writeable = False
-    if toeplitz is None:
-        toeplitz = _toeplitz(tzm, ww, w)
-    return np.dot(strips, toeplitz.T)
+    return np.dot(strips, _toeplitz(template, ww, w).T)
 
 
 def _fft_numerator(stats: WindowStats, tzm: np.ndarray) -> np.ndarray:
@@ -416,8 +385,7 @@ def _fft_numerator(stats: WindowStats, tzm: np.ndarray) -> np.ndarray:
 
 
 def zmncc_fast(frame: Frame, template: Patch, window: "SearchWindow",
-               stats: Optional[WindowStats] = None,
-               toeplitz: Optional[np.ndarray] = None) -> CorrelationMap:
+               stats: Optional[WindowStats] = None) -> CorrelationMap:
     """ZMNCC score map over every placement of ``template`` in ``window``.
 
     Window sums and sums of squares come from ``WindowStats``, built over
@@ -426,9 +394,7 @@ def zmncc_fast(frame: Frame, template: Patch, window: "SearchWindow",
     within ``_DIRECT_MAX_MACS``, and FFT cross-correlation beyond.
     Accumulation is float64 throughout.
     ``stats``, if given, must have been built from the same ``frame`` and
-    ``window`` for the template's shape. ``toeplitz``, if given, must be the
-    template's block-Toeplitz form for that window (``_cached_toeplitz``);
-    without it a direct numerator builds its own.
+    ``window`` for the template's shape.
     """
     if stats is None:
         stats = WindowStats(frame, window, template.pixels.shape)
@@ -439,7 +405,7 @@ def zmncc_fast(frame: Frame, template: Patch, window: "SearchWindow",
     if template.is_constant:
         raise UndefinedScore("template is constant")
     if stats.direct:
-        num = _direct_numerator(stats, template.zm_pixels, toeplitz)
+        num = _direct_numerator(stats, template)
     else:
         num = _fft_numerator(stats, template.zm_pixels)
     return CorrelationMap(num, stats.energy, template.zm_norm, stats.x0, stats.y0)
@@ -496,10 +462,7 @@ def detect(frame: Frame, bank: TemplateBank, sched: SchedulerState,
     evals = 0
     wh, ww = stats.energy.shape
     for index in order:
-        template = bank.templates[index]
-        toeplitz = (_cached_toeplitz(sched.toeplitz, index, template, ww, stats.g.shape[1])
-                    if stats.direct else None)
-        cmap = zmncc_fast(frame, template, window, stats, toeplitz)
+        cmap = zmncc_fast(frame, bank.templates[index], window, stats)
         evals += 1
         if bound is None:  # built once the first numerator's temporaries are freed
             zmin = min(bank.templates[i].zm_norm for i in order)

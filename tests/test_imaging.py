@@ -7,7 +7,7 @@ from hypothesis import assume, example, given, settings, strategies as st
 from conftest import gather_warp, headings
 from uavtrack.errors import DimensionMismatch, NonDiscriminativeTemplate, OutOfBounds
 from uavtrack.imaging import (
-    BANK_SIZE, Frame, Patch, WarpGeometry, build_template_bank, extract_patch,
+    BANK_SIZE, Frame, Patch, TemplateBank, WarpGeometry, build_template_bank, extract_patch,
     rotation_canvas_side, warp_geometry,
 )
 
@@ -96,6 +96,13 @@ class TestFramePatch:
     def test_constant_patch_has_zero_energy(self):
         p = Patch(np.full((4, 4), 76.245))
         assert p.zm_norm == 0.0 and p.is_constant
+
+    def test_patch_compares_and_hashes_by_identity(self, rng):
+        a = rng.uniform(0, 255, (6, 7))
+        p, q = Patch(a), Patch(a)
+        assert p == p and p != q and not (p == q)
+        assert hash(p) == hash(p) and len({p, q, p}) == 2
+        assert {p: 1}[p] == 1 and q not in {p: 1}
 
 
 class TestExtractPatch:
@@ -262,6 +269,23 @@ class TestTemplateBank:
             for a in (t.pixels, t.zm_pixels):
                 with pytest.raises(ValueError):
                     a[0, 0] = 1.0
+
+    def test_templates_own_their_canvases(self, rng):
+        bank = build_template_bank(Patch(rng.uniform(0, 255, (30, 38))))
+        for t in bank.templates:
+            for a in (t.pixels, t.zm_pixels):
+                root = a
+                while root.base is not None:
+                    root = root.base
+                assert root.nbytes == a.nbytes == 8 * t.width * t.height
+
+    def test_bank_equality_is_identity_of_templates(self, rng):
+        p = Patch(rng.uniform(0, 255, (8, 10)))
+        b1, b2 = build_template_bank(p), build_template_bank(p)
+        assert b1 == TemplateBank(b1.templates) and hash(b1) == hash(TemplateBank(b1.templates))
+        assert b1 != b2
+        assert TemplateBank(b1.templates[:2]) == TemplateBank((b1.templates[0], b1.templates[1]))
+        assert TemplateBank(b1.templates[:2]) != TemplateBank((b1.templates[0], b2.templates[1]))
 
     def test_bank_is_deterministic(self, rng):
         p = Patch(rng.uniform(0, 255, (8, 10)))

@@ -354,7 +354,7 @@ class TestPlacementMatrix:
         want = np.tensordot(view, tzm, axes=([2, 3], [0, 1]))
         # Each sum's rounding is bounded by the sum of its terms' magnitudes.
         scale = np.tensordot(np.abs(view), np.abs(tzm), axes=([2, 3], [0, 1]))
-        got = _direct_numerator(stats, tzm)
+        got = _direct_numerator(stats, template)
         assert got.shape == want.shape == stats.energy.shape
         assert np.all(np.abs(got - want) <= 1e-12 * scale)
 
@@ -364,7 +364,7 @@ class TestPlacementMatrix:
         template = Patch(rng.uniform(0, 255, shape))
         stats = WindowStats(frame, window(-4, 3, 60, 58), shape)
         g, tzm = stats.g.copy(), template.zm_pixels.copy()
-        num = _direct_numerator(stats, template.zm_pixels)
+        num = _direct_numerator(stats, template)
         assert np.array_equal(stats.g, g)
         assert np.array_equal(template.zm_pixels, tzm)
         assert not np.shares_memory(num, stats.g)
@@ -955,28 +955,43 @@ def steady_window(bank, x, y, dw=0, dh=0):
 
 
 class TestToeplitzCache:
+    """``_toeplitz`` memoizes each direct map's block-Toeplitz template by
+    (template, ``ww``, ``w``), the template hashed by identity."""
+
     def test_read_only_within_capacity_and_least_recent_out(self, rng):
         bank, frame, (x, y) = planted_bank_and_frame(rng)
-        sched = SchedulerState()
+        template = bank.templates[0]
+        size = matcher._toeplitz.cache_info().maxsize
+        matcher._toeplitz.cache_clear()
         keys = []
-        for dw in range(matcher._TOEPLITZ_ENTRIES + 2):
+        for dw in range(size + 2):
             win = steady_window(bank, x, y, dw=dw)
-            stats = WindowStats(frame, win, bank.templates[0].pixels.shape)
+            stats = WindowStats(frame, win, template.pixels.shape)
             assert stats.direct
-            assert detect(frame, bank, sched, win, 0.9).template_index == 0
-            keys.append((0, 6 + dw, stats.g.shape[1]))
-            assert len(sched.toeplitz) <= matcher._TOEPLITZ_ENTRIES
-            assert list(sched.toeplitz) == keys[-matcher._TOEPLITZ_ENTRIES:]
-        for template, toeplitz in sched.toeplitz.values():
-            assert template is bank.templates[0]
+            assert detect(frame, bank, SchedulerState(), win, 0.9).template_index == 0
+            keys.append((6 + dw, stats.g.shape[1]))
+            info = matcher._toeplitz.cache_info()
+            assert (info.misses, info.currsize) == (dw + 1, min(dw + 1, size))
+        th, tw = template.pixels.shape
+        for ww, w in keys[2:]:
+            toeplitz = matcher._toeplitz(template, ww, w)
             assert not toeplitz.flags.writeable
             with pytest.raises(ValueError):
                 toeplitz[0, 0] = 1.0
-        # A hit moves its entry, as it is, to the most recent end.
-        oldest = next(iter(sched.toeplitz))
-        entry = sched.toeplitz[oldest]
-        detect(frame, bank, sched, steady_window(bank, x, y, dw=oldest[1] - 6), 0.9)
-        assert list(sched.toeplitz)[-1] == oldest and sched.toeplitz[oldest] is entry
+            # T[u, i*w + u + j] = t[i, j], and zero elsewhere.
+            want = np.zeros((ww, th, w))
+            for u in range(ww):
+                want[u, :, u:u + tw] = template.zm_pixels
+            assert np.array_equal(toeplitz, want.reshape(ww, th * w))
+        assert matcher._toeplitz.cache_info().misses == size + 2  # all hits
+        # A hit makes its entry the most recent, so the next build drops the
+        # least recent other entry, which is then built again.
+        oldest = matcher._toeplitz(template, *keys[2])
+        matcher._toeplitz(template, *keys[0])
+        assert matcher._toeplitz(template, *keys[2]) is oldest
+        assert matcher._toeplitz.cache_info().misses == size + 3
+        matcher._toeplitz(template, *keys[3])
+        assert matcher._toeplitz.cache_info().misses == size + 4
 
     @pytest.mark.parametrize("shape", [(5, 6, 50, 45, 45), (5, 5, 49, 45, 45),
                                        (436, 596, 640, 45, 45), (30, 2, 40, 9, 39)])
@@ -990,55 +1005,60 @@ class TestToeplitzCache:
         again = matcher._box_plan(*shape, matcher._DIRECT_MAX_MACS)
         assert again[2] is rows and again[3] is cols
 
-    def test_equality_and_repr_ignore_it(self, rng):
-        bank, frame, (x, y) = planted_bank_and_frame(rng)
-        sched = SchedulerState()
-        detect(frame, bank, sched, steady_window(bank, x, y), 0.9)
-        assert sched.toeplitz
-        assert sched == SchedulerState(matched=0, last_frame_evals=1)
-        assert repr(sched) == repr(SchedulerState(matched=0, last_frame_evals=1))
-        assert not dataclasses.replace(sched).toeplitz
-
-    def test_select_empties_it(self, rng):
-        bank, frame, (x, y) = planted_bank_and_frame(rng)
-        tracker = Tracker(TrackerConfig(), frame_size=(90, 90))
-        tracker.select(frame, (25, 30, 24, 24))
-        detect(frame, tracker.bank, tracker.sched, steady_window(tracker.bank, x, y), 0.9)
-        assert tracker.sched.toeplitz
-        tracker.select(frame, (25, 30, 24, 24))
-        assert not tracker.sched.toeplitz
-
     def test_one_state_with_two_banks_gives_each_banks_maps(self):
-        # Same canvas and window, so both banks' template 0 share a key.
+        # Same canvas and window, so both banks' template 0 share ww and w.
         bank_a, frame_a, (x, y) = planted_bank_and_frame(np.random.default_rng(1))
         bank_b, frame_b, _ = planted_bank_and_frame(np.random.default_rng(2))
         assert bank_a.canvas == bank_b.canvas
+        assert bank_a.templates[0].pixels.tobytes() != bank_b.templates[0].pixels.tobytes()
         win = steady_window(bank_a, x, y)
+        w = win.x1 - win.x0
+        matcher._toeplitz.cache_clear()
         sched = SchedulerState()
         for bank, frame in ((bank_a, frame_a), (bank_b, frame_b), (bank_a, frame_a)):
             want = reference_detect(frame, bank, dataclasses.replace(sched), win, 0.9)
             assert detect(frame, bank, sched, win, 0.9) == want
             assert want.template_index == 0
-            assert sched.toeplitz[(0, 6, win.x1 - win.x0)][0] is bank.templates[0]
             stats = WindowStats(frame, win, bank.templates[0].pixels.shape)
-            for index, template in enumerate(bank.templates[:3]):
-                toeplitz = matcher._cached_toeplitz(sched.toeplitz, index, template,
-                                                    6, stats.g.shape[1])
-                assert np.array_equal(zmncc_fast(frame, template, win, stats, toeplitz).num,
-                                      zmncc_fast(frame, template, win, stats).num)
+            for template in bank.templates[:3]:
+                assert np.array_equal(matcher._toeplitz(template, 6, w),
+                                      matcher._toeplitz.__wrapped__(template, 6, w))
+                kept = zmncc_fast(frame, template, win, stats).num
+                matcher._toeplitz.cache_clear()
+                assert np.array_equal(kept, zmncc_fast(frame, template, win, stats).num)
+
+    def test_banks_of_equal_pixels_keep_their_own_entries(self, rng):
+        # Two banks of one source: equal pixels, distinct templates.
+        source = rng.uniform(0, 255, (24, 24))
+        bank_b, bank_c = (build_template_bank(Patch(source)) for _ in range(2))
+        for b, c in zip(bank_b.templates, bank_c.templates):
+            assert b != c and np.array_equal(b.pixels, c.pixels)
+        frame = Frame(rng.uniform(0, 255, (90, 90)))
+        win = steady_window(bank_b, 25, 30)
+        matcher._toeplitz.cache_clear()
+        for bank in (bank_b, bank_c):
+            sched = SchedulerState()
+            assert detect(frame, bank, sched, win, 0.9) is None
+            assert sched.last_frame_evals == TEMPLATE_BUDGET
+        info = matcher._toeplitz.cache_info()
+        assert (info.hits, info.misses) == (0, 2 * TEMPLATE_BUDGET)
+        last = TEMPLATE_BUDGET - 1
+        w = win.x1 - win.x0
+        assert (matcher._toeplitz(bank_b.templates[last], 6, w)
+                is not matcher._toeplitz(bank_c.templates[last], 6, w))
+        assert matcher._toeplitz.cache_info().hits == 2
 
     def test_successive_maps_stay_independent(self, rng):
         bank, frame, (x, y) = planted_bank_and_frame(rng)
         win = steady_window(bank, x, y)
         stats = WindowStats(frame, win, bank.templates[0].pixels.shape)
-        cache = SchedulerState().toeplitz
+        matcher._toeplitz.cache_clear()
         maps, copies = [], []
         for index in (0, 1, 0):
-            template = bank.templates[index]
-            toeplitz = matcher._cached_toeplitz(cache, index, template, 6, stats.g.shape[1])
-            maps.append(zmncc_fast(frame, template, win, stats, toeplitz))
+            maps.append(zmncc_fast(frame, bank.templates[index], win, stats))
             copies.append(maps[-1].num.copy())
             maps[-1].scores
+        assert matcher._toeplitz.cache_info().hits == 1
         for cmap, num in zip(maps, copies):
             assert np.array_equal(cmap.num, num)
         assert not np.shares_memory(maps[0].num, maps[2].num)

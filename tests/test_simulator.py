@@ -8,7 +8,7 @@ from hypothesis import assume, example, given, settings, strategies as st
 from conftest import (
     gather_warp, gimbal_state, headings, render_open_loop, standard_scenario, window,
 )
-from uavtrack import matcher, simulator
+from uavtrack import cli, matcher, simulator
 from uavtrack.config import ConfigError, TrackerConfig
 from uavtrack.gimbal import Gimbal
 from uavtrack.errors import InvalidScenario
@@ -18,6 +18,15 @@ from uavtrack.simulator import (
     Scenario, SceneRenderer, TruthRecord, parse_scenario, run_closed_loop, scenario_text,
 )
 from uavtrack.tracker import Tracker, TrackStep, track_frames
+
+
+def toeplitz_use(run) -> tuple[int, int]:
+    """The direct maps that ``run()`` computes from an empty block-Toeplitz
+    memo, and the templates it builds for them."""
+    matcher._toeplitz.cache_clear()
+    run()
+    info = matcher._toeplitz.cache_info()
+    return info.hits + info.misses, info.misses
 
 
 def small_scenario(**overrides) -> Scenario:
@@ -513,34 +522,48 @@ class TestFrameLoop:
         assert events == stages[:1] + [("select", 0, roi)] + stages[1:]
 
     @pytest.mark.parametrize("size", [(20, 22), (27, 28), (30, 33), (38, 30)])
-    def test_toeplitz_cache_leaves_every_record_unchanged(self, monkeypatch, size):
+    def test_toeplitz_cache_leaves_every_record_unchanged(self, size):
         # The benchmark's 640x480 scene at one paper patch size, gimbal
         # stepped: a run that keeps its block-Toeplitz templates and one
-        # whose cache is emptied before every frame give the same records.
+        # whose memo is cleared before every frame give the same records.
         scenario = simulator.benchmark_scenario(*size, n_frames=40)
         renderer = SceneRenderer(scenario)
         frames = [renderer.render(k) for k in range(scenario.n_frames)]
-        built = []
-        toeplitz = matcher._toeplitz
-        monkeypatch.setattr(matcher, "_toeplitz", lambda *a: built.append(a) or toeplitz(*a))
 
         def run(clear):
             cfg = TrackerConfig()
             tracker = Tracker(cfg, frame_size=(scenario.width, scenario.height))
+            builds = 0
 
             def source():
+                nonlocal builds
                 for pair in frames:
                     if clear:
-                        tracker.sched.toeplitz.clear()
+                        builds += matcher._toeplitz.cache_info().misses
+                        matcher._toeplitz.cache_clear()
                     yield pair
-            built.clear()
+            matcher._toeplitz.cache_clear()
             records = [dataclasses.replace(r, wall_ms=0.0) for r in track_frames(
                 tracker, source(), renderer.target_rect_frame0(),
                 Gimbal(cfg, scenario.width, scenario.height, scenario.fps))]
-            return records, len(built)
+            return records, builds + matcher._toeplitz.cache_info().misses
 
         kept, kept_builds = run(clear=False)
         cleared, cleared_builds = run(clear=True)
         assert kept == cleared
         assert sum(r.detected for r in kept) == len(kept)
         assert kept_builds < cleared_builds // 2
+
+    def test_quantized_dropout_builds_a_toeplitz_template_for_few_maps(self):
+        # The closed loop through a 30-frame dropout, whose windows grow
+        # every missed frame, builds a template for under half its direct maps.
+        scenario = standard_scenario("dropout")
+        scenario.quantize = True
+        maps, builds = toeplitz_use(lambda: run_closed_loop(scenario))
+        assert maps > 0 and builds < maps / 2
+
+    def test_interleaved_benchmark_builds_a_toeplitz_template_for_few_maps(self):
+        # Four trackers, one frame of each in turn, share the memo.
+        maps, builds = toeplitz_use(
+            lambda: cli.run_benchmark(TrackerConfig(), cli.DEFAULT_BENCH_SIZES, n_frames=40))
+        assert maps > 0 and builds < maps / 2
