@@ -12,6 +12,9 @@
 #     runs the config reader: the same CSVs;
 #   - `simulate --export` of a quantized copy of dropout.txt: the same
 #     CSVs, the exported PGM frames and their timestamps.txt;
+#   - `simulate --export` of a quantized copy of benign.txt, whose heading
+#     ramps from 0 to 350 degrees and gain from 0.8 to 1.3, so the frames
+#     show the sprite rendered at every heading: the same files;
 #   - `simulate` of a copy of benign.txt whose target is hidden at frame 0
 #     (`dropout=0.0-0.5`), which exits 2 before any frame is tracked;
 #   - `track --dump-frames` of that exported sequence from the copy's
@@ -137,6 +140,9 @@ run_matrix() (
     uav simulate_benign_config simulate benign.txt --config default.cfg --out benign_config
     sed 's/^quantize=.*/quantize=1/' dropout.txt >dropout_quantized.txt
     uav simulate_quantized simulate dropout_quantized.txt --out quantized --export quantized/seq
+    sed 's/^quantize=.*/quantize=1/' benign.txt >benign_quantized.txt
+    uav simulate_benign_quantized simulate benign_quantized.txt --out benign_quantized \
+        --export benign_quantized/seq
     sed '/^dropout=/d' benign.txt >benign_hidden.txt
     echo "dropout=0.0-0.5" >>benign_hidden.txt
     uav simulate_hidden simulate benign_hidden.txt --out hidden --export hidden/seq
@@ -146,14 +152,15 @@ scenario = simulator.load_scenario("dropout_quantized.txt")
 print(",".join(str(v) for v in simulator.SceneRenderer(scenario).target_rect_frame0()))
 ' >roi.txt 2>roi.stderr
     uav track_quantized track quantized/seq --roi "$(cat roi.txt)" --out retrack --dump-frames
-    for name in benign benign_config dropout centering quantized; do
+    for name in benign benign_config dropout centering quantized benign_quantized; do
         if [ -f "$name/report.csv" ]; then drop_column "$name/report.csv" wall_ms; fi
     done
     uav benchmark benchmark --frames 40 --csv bench.csv
     rm -f benchmark.stdout
     if [ -f bench.csv ]; then drop_column bench.csv fps; fi
     # The inputs are not outputs: the two checkouts' files may differ in comments.
-    rm -f benign.txt dropout.txt centering.txt default.cfg dropout_quantized.txt benign_hidden.txt
+    rm -f benign.txt dropout.txt centering.txt default.cfg dropout_quantized.txt \
+        benign_quantized.txt benign_hidden.txt
 )
 
 run_matrix "$parent" "$work/parent"

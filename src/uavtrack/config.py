@@ -1,9 +1,9 @@
 """Tracker configuration, and the key=value text format it shares with
 scenario files.
 
-Lines are ``key=value`` with ``#`` comments and blank lines allowed. Each
-file kind gives every key a reader; a value that its reader rejects is
-reported as ``<file>:<line>: <reason> for '<key>'``.
+Lines are ``key=value`` with ``#`` comments and blank lines allowed, each
+key at most once. Each file kind gives every key a reader; a value that
+its reader rejects is reported as ``<file>:<line>: <reason> for '<key>'``.
 """
 
 from __future__ import annotations
@@ -109,8 +109,9 @@ def field_readers(cls) -> dict[str, Callable[[str], object]]:
 def parse_kv(text: str, source: str, readers: dict[str, Callable[[str], object]]) -> dict:
     """Every key=value line of ``text``, its value read by ``readers[key]``,
     which rejects a value by raising ValueError with the reason. '#' starts
-    a comment."""
-    values = {}
+    a comment. A key given twice is rejected on its second line, after its
+    value is read."""
+    values, first = {}, {}
     for lineno, line in enumerate(text.splitlines(), start=1):
         stripped = line.split("#", 1)[0].strip()
         if not stripped:
@@ -124,6 +125,9 @@ def parse_kv(text: str, source: str, readers: dict[str, Callable[[str], object]]
             values[key] = readers[key](raw)
         except ValueError as e:
             raise ConfigError(f"{source}:{lineno}: {e} for '{key}'") from None
+        if first.setdefault(key, lineno) != lineno:
+            raise ConfigError(f"{source}:{lineno}: repeated key '{key}' "
+                              f"(first on line {first[key]})")
     return values
 
 

@@ -158,52 +158,22 @@ def rotation_canvas_side(width: int, height: int) -> int:
     return int(math.ceil(math.hypot(width, height)))
 
 
-@dataclass(frozen=True)
-class WarpGeometry:
-    """Where each canvas pixel of a rotation warp samples its source.
+def rotate(pixels: np.ndarray, angles: np.ndarray, fill: float) -> tuple[np.ndarray, np.ndarray]:
+    """Clockwise rotations of a raster by each of the 1-D array ``angles``
+    (degrees) onto its rotation canvas: the ``(n, side, side)`` stack of
+    warps, ``fill`` outside the source, and the mask of the canvas pixels
+    whose sample falls on the source.
 
-    ``tap`` holds the flat source index of the top-left bilinear tap,
-    ``steps`` the index steps to the right and lower taps, ``fx, fy`` the
-    sample's fractional offsets from the top-left tap, and ``inside`` marks
-    the canvas pixels whose sample falls on the source. Each array is one
-    ``(side, side)`` canvas, or an ``(n, side, side)`` stack for n angles.
-    An inverse-mapped warp computes this sample map once and can apply it
-    to any raster of the source's shape.
+    Slice k is the warp by angle k alone, bit for bit: cos and sin come
+    from ``math`` one angle at a time, and the array operations act on each
+    slice alike. The source is embedded on the square canvas at integer
+    margins and the rotation pivots on the embedded source center, so the
+    zero-angle warp reproduces the source exactly. Sampling is bilinear via
+    the inverse map. Source coordinates closer than 1e-9 to the integer
+    grid are snapped so quarter-turn warps are exact index permutations.
     """
-
-    tap: np.ndarray
-    steps: tuple[int, int]
-    fx: np.ndarray
-    fy: np.ndarray
-    inside: np.ndarray
-
-    def apply(self, pixels: np.ndarray, fill: float) -> np.ndarray:
-        """Warp a raster of the geometry's source shape; outside takes ``fill``."""
-        flat = np.asarray(pixels, dtype=np.float64).ravel()
-        right, down = self.steps
-        gx = 1.0 - self.fx
-        top = gx * flat.take(self.tap) + self.fx * flat.take(self.tap + right)
-        bot = gx * flat.take(self.tap + down) + self.fx * flat.take(self.tap + (down + right))
-        out = (1.0 - self.fy) * top + self.fy * bot
-        out[~self.inside] = fill
-        return out
-
-
-def warp_geometry(height: int, width: int, alpha_deg) -> WarpGeometry:
-    """Sample geometry of a clockwise ``alpha_deg`` rotation of a
-    ``height`` x ``width`` raster onto its rotation canvas.
-
-    ``alpha_deg`` is one angle or a 1-D array of n angles. The latter's
-    slice k is the geometry of angle k alone, bit for bit: cos and sin come
-    from ``math`` one angle at a time, and the array operations are alike.
-
-    The source is embedded on the square canvas at integer margins and the
-    rotation pivots on the embedded source center, so the zero-angle warp
-    reproduces the source exactly. Sampling is bilinear via the inverse
-    map. Source coordinates closer than 1e-9 to the integer grid are
-    snapped so quarter-turn warps are exact index permutations.
-    """
-    h, w = height, width
+    flat = np.asarray(pixels, dtype=np.float64).ravel()
+    h, w = pixels.shape
     side = rotation_canvas_side(w, h)
     mx, my = (side - w) // 2, (side - h) // 2
     # Pivot: source patch center, expressed in both coordinate frames.
@@ -213,10 +183,8 @@ def warp_geometry(height: int, width: int, alpha_deg) -> WarpGeometry:
     dx = np.arange(side) - (mx + csx)
     dy = (np.arange(side) - (my + csy))[:, None]
 
-    if isinstance(alpha_deg, np.ndarray):
-        ca, sa = np.array([_cos_sin(a) for a in alpha_deg.tolist()]).T[:, :, None, None]
-    else:
-        ca, sa = _cos_sin(alpha_deg)
+    radians = [math.radians(a % 360.0) for a in angles.tolist()]
+    ca, sa = np.array([(math.cos(a), math.sin(a)) for a in radians]).T[:, :, None, None]
     sx = ca * dx + sa * dy + csx
     sy = -sa * dx + ca * dy + csy
 
@@ -230,27 +198,28 @@ def warp_geometry(height: int, width: int, alpha_deg) -> WarpGeometry:
     y0 = np.clip(np.floor(sy), 0, max(h - 2, 0)).astype(np.intp)
     sx -= x0
     sy -= y0
+    tap = y0 * w + x0
+    del snapped, x0, y0  # released before the gathers, which set the peak
     # The right and lower taps are one step on, except along a
     # one-pixel side, where both taps are the same pixel.
-    return WarpGeometry(tap=y0 * w + x0, steps=(int(w > 1), w * int(h > 1)),
-                        fx=sx, fy=sy, inside=inside)
-
-
-def _cos_sin(alpha_deg: float) -> tuple[float, float]:
-    a = math.radians(alpha_deg % 360.0)
-    return math.cos(a), math.sin(a)
+    right, down = int(w > 1), w * int(h > 1)
+    gx = 1.0 - sx
+    top = gx * flat.take(tap) + sx * flat.take(tap + right)
+    bot = gx * flat.take(tap + down) + sx * flat.take(tap + (down + right))
+    out = (1.0 - sy) * top + sy * bot
+    out[~inside] = fill
+    return out, inside
 
 
 def build_template_bank(patch: Patch) -> TemplateBank:
     """Generate the rotation bank: BANK_SIZE templates at BANK_STEP_DEG steps,
-    from one warp geometry over all their angles. Out-of-support canvas
+    from one warp over all their angles. Out-of-support canvas
     pixels take the source patch mean so they carry roughly zero weight in
     zero-mean correlation.
     """
     if patch.is_constant:
         raise NonDiscriminativeTemplate("source patch is constant")
-    stack = warp_geometry(*patch.pixels.shape, np.arange(BANK_SIZE) * BANK_STEP_DEG).apply(
-        patch.pixels, patch.mean)
+    stack, _ = rotate(patch.pixels, np.arange(BANK_SIZE) * BANK_STEP_DEG, patch.mean)
     # Each template owns its canvas, so one kept alive does not keep the stack.
     templates = tuple(Patch(canvas.copy()) for canvas in stack)
     for k, t in enumerate(templates):

@@ -17,6 +17,8 @@ from .config import read_float, read_text
 from .imaging import Frame
 
 _FRAME_RE = re.compile(r"^frame_(\d+)\.pgm$")
+# Whitespace and comments, then a PGM header token (empty at the end of the file).
+_HEADER_TOKEN = re.compile(rb"(?:\s|#[^\r\n]*[\r\n]?)*([^\s#]*)")
 TIMESTAMP_SIDECAR = "timestamps.txt"
 
 
@@ -41,25 +43,18 @@ def read_pgm(path: str) -> np.ndarray:
     with open(path, "rb") as f:
         data = f.read()
 
-    # Header: magic, width, height, maxval as whitespace-separated tokens,
-    # with '#' comments allowed between them.
-    tokens: list[bytes] = []
-    pos = 0
+    # Header: the magic in the first two bytes, then width, height and maxval,
+    # tokens separated by whitespace and by comments, each of which runs from
+    # '#' through the next CR or LF.
+    if data[:2] != b"P5":
+        raise ValueError(f"{path}: not a binary PGM (magic {data[:2]!r})")
+    tokens, pos = [], 0
     while len(tokens) < 4:
-        if pos >= len(data):
+        token = _HEADER_TOKEN.match(data, pos)
+        if not token[1]:
             raise ValueError(f"{path}: truncated PGM header")
-        c = data[pos:pos + 1]
-        if c == b"#":
-            nl = data.find(b"\n", pos)
-            pos = len(data) if nl < 0 else nl + 1
-        elif c.isspace():
-            pos += 1
-        else:
-            end = pos
-            while end < len(data) and not data[end:end + 1].isspace() and data[end:end + 1] != b"#":
-                end += 1
-            tokens.append(data[pos:end])
-            pos = end
+        tokens.append(token[1])
+        pos = token.end()
     if tokens[0] != b"P5":
         raise ValueError(f"{path}: not a binary PGM (magic {tokens[0]!r})")
     w, h, maxval = (_header_int(path, name, token)

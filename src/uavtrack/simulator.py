@@ -24,7 +24,7 @@ from . import gimbal as gim
 from .config import (ConfigError, TrackerConfig, field_readers, kv_text, parse_kv,
                      read_float, read_text)
 from .errors import InvalidScenario
-from .imaging import Frame, rotation_canvas_side, warp_geometry
+from .imaging import Frame, rotate, rotation_canvas_side
 from .tracker import FrameRecord, Tracker, track_frames
 
 Breakpoints = list[tuple[float, ...]]
@@ -323,10 +323,10 @@ class SceneRenderer:
 
     def _sprite_at(self, heading: float) -> tuple[np.ndarray, np.ndarray]:
         """The sprite warped to ``heading`` and the mask of the canvas pixels
-        it covers, from one warp geometry, reused while the heading holds."""
+        it covers, reused while the heading holds."""
         if self._warped is None or self._warped[0] != heading:
-            geometry = warp_geometry(*self.sprite.shape, heading)
-            self._warped = (heading, geometry.apply(self.sprite, 0.0), geometry.inside)
+            canvases, inside = rotate(self.sprite, np.array([heading]), 0.0)
+            self._warped = (heading, canvases[0], inside[0])
         return self._warped[1:]
 
 

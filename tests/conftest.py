@@ -63,8 +63,8 @@ def render_open_loop(scenario):
 
 
 def gather_warp(pixels, alpha_deg, fill):
-    """The warp before its geometry was split out: a full coordinate grid and
-    four 2-D gathers per call. Kept as the oracle of the split form."""
+    """The warp as first written, for one angle: a full coordinate grid and
+    four 2-D gathers per call. Kept as the oracle of ``imaging.rotate``."""
     src = np.asarray(pixels, dtype=np.float64)
     h, w = src.shape
     side = rotation_canvas_side(w, h)

@@ -224,6 +224,28 @@ class TestSimulateCommand:
         key, value = entry.split("=")
         assert f"bad.cfg:1: '{value}' is not a finite number for '{key}'" in capsys.readouterr().err
 
+    def test_repeated_scenario_key_exits_2_with_lines(self, tmp_path, capsys):
+        text = simulator.scenario_text(quantized_scenario(duration=0.5))
+        first = next(n for n, line in enumerate(text.splitlines(), 1) if line.startswith("seed="))
+        bad = tmp_path / "bad.txt"
+        bad.write_text(text + "seed=7\n")
+        out = tmp_path / "o"
+        assert main(["simulate", str(bad), "--out", str(out)]) == 2
+        line = len(text.splitlines()) + 1
+        assert capsys.readouterr().err == \
+            f"error: {bad}:{line}: repeated key 'seed' (first on line {first})\n"
+        assert not out.exists()
+
+    def test_repeated_config_key_exits_2_with_lines(self, tmp_path, capsys):
+        cfg = tmp_path / "bad.cfg"
+        cfg.write_text("sigma=0.4\nfps=25\nsigma=0.5\n")
+        scn = write_scenario(tmp_path / "scn.txt", quantized_scenario(duration=0.5))
+        out = tmp_path / "o"
+        assert main(["simulate", scn, "--config", str(cfg), "--out", str(out)]) == 2
+        assert capsys.readouterr().err == \
+            f"error: {cfg}:3: repeated key 'sigma' (first on line 1)\n"
+        assert not out.exists()
+
     def test_scenario_not_utf8_exits_2_with_path_and_line(self, tmp_path, capsys):
         # Line endings count as a file opened in text mode reads them.
         bad = tmp_path / "bad.txt"

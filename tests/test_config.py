@@ -58,6 +58,16 @@ def test_bad_value_reports_line():
         TrackerConfig.from_text("fps=30\nmiss_run_limit=3.5\n")
 
 
+def test_repeated_key_rejected_naming_both_lines():
+    # Neither value wins: the second line is rejected, not read over the first.
+    with pytest.raises(ConfigError,
+                       match=r"^<config>:4: repeated key 'sigma' \(first on line 1\)$"):
+        TrackerConfig.from_text("sigma=0.4\nfps=25\n# again\nsigma=0.5\n")
+    # The value is read first, so a bad repeated value reports the value.
+    with pytest.raises(ConfigError, match="^<config>:2: cannot parse 'x' as a number for 'fps'$"):
+        TrackerConfig.from_text("fps=25\nfps=x\n")
+
+
 def test_missing_equals_reports_line():
     with pytest.raises(ConfigError, match=":1:"):
         TrackerConfig.from_text("just words\n")

@@ -10,7 +10,7 @@ from uavtrack import estimator, matcher, simulator
 from uavtrack.config import TrackerConfig
 from uavtrack.errors import UndefinedScore, WindowTooSmall
 from uavtrack.imaging import (
-    Frame, Patch, TemplateBank, build_template_bank, extract_patch, warp_geometry,
+    Frame, Patch, TemplateBank, build_template_bank, extract_patch, rotate,
 )
 from uavtrack.matcher import (
     TEMPLATE_BUDGET, CorrelationMap, Detection, SchedulerState, WindowStats,
@@ -131,8 +131,8 @@ def planted_bank_and_frame(rng, heading=0.0):
     bank = build_template_bank(source)
     side = bank.canvas[0]
     pixels = 105.0 + 8.0 * simulator.value_noise(rng, 90, 90, 5)
-    canvas = warp_geometry(*sprite.shape, heading).apply(source.pixels, source.mean)
-    pixels[30:30 + side, 25:25 + side] = canvas
+    canvases, _ = rotate(source.pixels, np.array([heading]), source.mean)
+    pixels[30:30 + side, 25:25 + side] = canvases[0]
     return bank, Frame(np.clip(pixels, 0, 255)), (25, 30)
 
 

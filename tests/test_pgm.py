@@ -1,9 +1,14 @@
+import contextlib
+import io
 import os
+import tempfile
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from uavtrack import pgm
+from uavtrack.cli import main
 from uavtrack.imaging import Frame
 
 
@@ -89,6 +94,122 @@ def test_pixels_start_one_byte_after_maxval(tmp_path):
     p = tmp_path / "low.pgm"
     p.write_bytes(b"P5\n4 1\n15 " + bytes([10, 15, 7, 0]))
     assert np.array_equal(pgm.read_pgm(str(p)), [[10, 15, 7, 0]])
+
+
+WHITESPACE = b" \t\n\r\x0b\x0c"
+
+
+def reference_pgm(data: bytes) -> np.ndarray | None:
+    """The raster of a binary PGM, byte by byte, or None if ``data`` is not one.
+
+    The file opens with the magic ``P5``. Width, height and maxval follow,
+    each a positive decimal integer, maxval at most 255. A token ends at
+    whitespace or at a comment, which runs from '#' through the next CR or
+    LF; separators are any mix of the two. Exactly one whitespace byte
+    follows maxval, then width x height pixel bytes, none above maxval.
+    Bytes after the raster are not read: the format lets another image
+    follow.
+    """
+    def separator(i):
+        return i < len(data) and (data[i] in WHITESPACE or data[i] == ord("#"))
+
+    if data[:2] != b"P5" or (len(data) > 2 and not separator(2)):
+        return None
+    fields, i = [], 2
+    while len(fields) < 3:
+        while separator(i):
+            if data[i] == ord("#"):
+                while i < len(data) and data[i] not in b"\r\n":
+                    i += 1
+            i += 1
+        start = i
+        while i < len(data) and not separator(i):
+            i += 1
+        token = data[start:i]
+        if not token or any(c not in b"0123456789" for c in token) or int(token) == 0:
+            return None
+        fields.append(int(token))
+    w, h, maxval = fields
+    if maxval > 255 or i >= len(data) or data[i] not in WHITESPACE:
+        return None
+    raster = data[i + 1:i + 1 + w * h]
+    if len(raster) != w * h or max(raster) > maxval:
+        return None
+    return np.frombuffer(raster, dtype=np.uint8).reshape(h, w)
+
+
+def numbers(n):
+    """A header integer as its decimal token, sometimes with leading zeros."""
+    return st.integers(0, 2).map(lambda zeros: b"0" * zeros + str(n).encode())
+
+
+def separators():
+    """One or more whitespace bytes and comments; a comment's own CR or LF
+    is its end, so one may sit directly after a token."""
+    text = st.binary(max_size=6).map(lambda b: b.translate(None, b"\r\n"))
+    comment = st.builds(lambda t, end: b"#" + t + end, text, st.sampled_from([b"\n", b"\r", b"\r\n"]))
+    return st.lists(st.sampled_from(list(WHITESPACE)).map(lambda c: bytes([c])) | comment,
+                    min_size=1, max_size=3).map(b"".join)
+
+
+@st.composite
+def pgm_files(draw):
+    """A P5 file drawn from the header grammar, then mutated: a token, the
+    separators, a comment after maxval, the maxval, the pixel count, and
+    single bytes anywhere."""
+    w, h = draw(st.integers(1, 5)), draw(st.integers(1, 5))
+    maxval = draw(st.sampled_from([255, 1, 15]) | st.integers(1, 255))
+    pixels = bytes(b % (maxval + 1) for b in draw(st.binary(min_size=w * h, max_size=w * h)))
+    tokens = [b"P5", draw(numbers(w)), draw(numbers(h)), draw(numbers(maxval))]
+    if draw(st.booleans()):
+        tokens[draw(st.integers(0, 3))] = draw(st.sampled_from(
+            [b"P2", b"P6", b"p5", b"P55", b"", b"+4", b"-3", b"0", b"00", b"4.5", b"2e2",
+             b"256", b"65535", b"\xb2", b"9" * 20, b"5P5"]))
+    seps = [draw(separators()) for _ in range(3)]
+    after_maxval = draw(st.sampled_from([b" ", b"\n", b"\r", b"\t"])
+                        | st.sampled_from([b"", b"\n\n", b"#c\n", b" #c\n", b"\r\n"]))
+    if draw(st.booleans()):  # a pixel above maxval, or too few or too many pixels
+        pixels = draw(st.sampled_from([
+            pixels[:-1], pixels + b"\x00", pixels[1:] + bytes([min(maxval + 1, 255)]),
+            pixels + b"P5 1 1 255\n\x00"]))
+    data = (draw(st.sampled_from([b"", b"", b"", b" ", b"#c\n"])) + tokens[0] + seps[0]
+            + tokens[1] + seps[1] + tokens[2] + seps[2] + tokens[3] + after_maxval + pixels)
+    for _ in range(draw(st.integers(0, 2))):
+        at = draw(st.integers(0, len(data)))
+        byte = draw(st.sampled_from(list(b" \t\r\n#P50189x\xff")).map(lambda c: bytes([c])))
+        data = draw(st.sampled_from([data[:at] + byte + data[at:],  # insert
+                                     data[:at] + byte + data[at + 1:],  # replace
+                                     data[:at] + data[at + 1:],  # delete
+                                     data[:at]]))  # truncate
+    return data
+
+
+@settings(max_examples=400, deadline=None)
+@given(pgm_files())
+@example(b"P5 1 1 255\n\x07")
+@example(b"P5#c\r2#c\n1 255\n\x07\x09")  # comments end at CR as at LF
+@example(b" P5 1 1 255\n\x07")  # the magic is the first two bytes
+@example(b"P5 1 1 255#c\n\x07")
+def test_read_pgm_agrees_with_reference(data):
+    want = reference_pgm(data)
+    with tempfile.TemporaryDirectory() as d:
+        seq = os.path.join(d, "seq")
+        os.mkdir(seq)
+        path = os.path.join(seq, pgm.frame_filename(0))
+        with open(path, "wb") as f:
+            f.write(data)
+        if want is not None:
+            got = pgm.read_pgm(path)
+            assert got.dtype == np.uint8 and got.shape == want.shape
+            assert got.tobytes() == want.tobytes()
+            return
+        with pytest.raises(ValueError) as e:
+            pgm.read_pgm(path)
+        assert str(e.value).startswith(f"{path}: ")
+        err = io.StringIO()
+        with contextlib.redirect_stderr(err):
+            rc = main(["track", seq, "--roi", "0,0,2,2", "--out", os.path.join(d, "out")])
+        assert rc == 2 and err.getvalue() == f"error: {e.value}\n"
 
 
 class TestSequences:

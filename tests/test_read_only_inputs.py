@@ -9,7 +9,7 @@ from hypothesis import given, settings, strategies as st
 
 from conftest import headings, window
 from uavtrack import cli, pgm
-from uavtrack.imaging import Frame, Patch, build_template_bank, extract_patch, warp_geometry
+from uavtrack.imaging import Frame, Patch, build_template_bank, extract_patch, rotate
 from uavtrack.matcher import SchedulerState, WindowStats, detect, zmncc_fast, zmncc_oracle
 from uavtrack.tracker import FrameRecord
 
@@ -42,17 +42,16 @@ def test_public_functions_leave_read_only_inputs_unchanged(case):
     fh, fw = raster.shape
     source = read_only(raster[roi[1]:roi[1] + roi[3], roi[0]:roi[0] + roi[2]]
                        .astype(np.float64))
-    geometry = warp_geometry(*source.shape, alpha)
-    for a in (geometry.tap, geometry.fx, geometry.fy, geometry.inside):
-        read_only(a)
-    inputs = [raster, source, geometry.tap, geometry.fx, geometry.fy, geometry.inside]
+    angles = read_only(np.array([alpha, alpha + 10.0]))
+    inputs = [raster, source, angles]
     kept = [a.copy() for a in inputs]
 
     frame = Frame(raster)
     extract_patch(frame, roi)
     patch = Patch(source)
     bank = build_template_bank(patch)
-    geometry.apply(source, patch.mean)
+    rotate(source, angles, patch.mean)
+    rotate(raster, angles, 0.0)
     zmncc_oracle(raster, patch, roi[:2])
     win = window(0, 0, fw, fh)
     stats = WindowStats(frame, win, bank.templates[0].pixels.shape)

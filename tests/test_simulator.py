@@ -1,12 +1,13 @@
 import dataclasses
 import math
+import os
 
 import numpy as np
 import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
 from conftest import (
-    gather_warp, gimbal_state, headings, render_open_loop, standard_scenario, window,
+    SCENARIOS, gather_warp, gimbal_state, headings, render_open_loop, standard_scenario, window,
 )
 from uavtrack import cli, matcher, simulator
 from uavtrack.config import ConfigError, TrackerConfig
@@ -99,8 +100,8 @@ class TestRendering:
 
 
 def two_warp_frame(renderer, k, viewport):
-    """Frame k as rendered before the sprite's warp geometry was shared: an
-    alpha blend with the warp of an all-ones raster, then gain, offset,
+    """Frame k as rendered before the sprite's warp and mask came from one
+    call: an alpha blend with the warp of an all-ones raster, then gain, offset,
     clip and rounding into new arrays."""
     s = renderer.scenario
     m = simulator.WORLD_MARGIN
@@ -184,8 +185,8 @@ class TestSharedWarp:
                                                 ([(0.0, 0.0), (1.5, 80.0)], 25)])
     def test_warps_once_per_heading(self, monkeypatch, heading, warps):
         calls = []
-        real = simulator.warp_geometry
-        monkeypatch.setattr(simulator, "warp_geometry",
+        real = simulator.rotate
+        monkeypatch.setattr(simulator, "rotate",
                             lambda *args: calls.append(args) or real(*args))
         s = small_scenario(heading=heading, dropouts=[(0.2, 0.45)])
         render_open_loop(s)
@@ -261,8 +262,10 @@ class TestValidation:
         ("distractors=-3", "distractors must be >= 0"),
     ])
     def test_out_of_range_integer_rejected(self, line, message):
-        text = ("width=120\nheight=100\nfps=20\nduration=1\nseed=1\n"
-                "position=0:60,50\n" + line + "\n")
+        # A key may appear once, so the line under test replaces the base's own.
+        base = ["width=120", "height=100", "fps=20", "duration=1", "seed=1", "position=0:60,50"]
+        keys = {entry.split("=")[0] for entry in line.splitlines()}
+        text = "\n".join([b for b in base if b.split("=")[0] not in keys] + [line]) + "\n"
         with pytest.raises(InvalidScenario, match=message):
             parse_scenario(text)
 
@@ -440,6 +443,14 @@ class TestScenarioFiles:
         text = ("width=120\nheight=100\nfps=20\nduration=1\nseed=1\n"
                 "position=0:60,50\n" + line + "\n")
         with pytest.raises(ConfigError, match=r":7: '-?(inf|nan)' is not a finite number"):
+            parse_scenario(text)
+
+    def test_parse_rejects_repeated_key(self):
+        # The shipped 10.0-11.2 loss would silently give way to the second line.
+        text = open(os.path.join(SCENARIOS, "dropout.txt")).read() + "dropout=1.0-2.0\n"
+        line = len(text.splitlines())
+        with pytest.raises(ConfigError, match=rf"^<scenario>:{line}: repeated key 'dropout' "
+                                              rf"\(first on line {line - 1}\)$"):
             parse_scenario(text)
 
     def test_parse_rejects_bad_dropout(self):
