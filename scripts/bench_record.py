@@ -12,9 +12,18 @@ the change's median is than the parent's, relative to the parent's median
 ``BENCHMARK.json``. It also writes the seed, the seconds per run, the CPU
 model and the environment line each run printed (cores, BLAS library and
 threads, Python, numpy).
+Every metric also gets the gain rule's verdict: ``gain_resolved`` holds
+when the change wins at least nine tenths of the pairs, ties counting for
+neither, and its median is better than the parent's by more than the
+parent's interquartile range. An end-to-end metric is ``unresolved`` when
+either side's interquartile range, relative to its median, is wider than the
+metric's bound, unless every run of the change reads better than every run
+of the parent.
 ``--trace`` adds alternating pairs of traced runs (``--trace 1``) and writes
 the same summary for the per-layer metrics, to show which layers a change
-moves. Run from anywhere:
+moves. Each side's commit comes from ``git describe`` in its tree, or from
+``--parent-commit`` and ``--change-commit``, which a tree without git
+history (such as one unpacked by ``git archive``) needs. Run from anywhere:
 
     python3 scripts/bench_record.py --parent ../parent --change . \\
         --runs steady640=5 acquire640=3 sim_replay=3 --seed 1 --seconds 30 \\
@@ -44,7 +53,17 @@ def parse_args(argv=None):
     p.add_argument("--trace", nargs="+", default=[], metavar="WORKLOAD=K",
                    help="traced pairs per workload (per-layer metrics), e.g. acquire640=3")
     p.add_argument("--out", required=True, help="JSON file to write")
+    for side in ("parent", "change"):
+        p.add_argument(f"--{side}-commit", default=None,
+                       help=f"commit of the {side} tree, if it has no git history")
     args = p.parse_args(argv)
+    for side in ("parent", "change"):
+        if getattr(args, f"{side}_commit") is None:
+            commit = describe(getattr(args, side))
+            if commit is None:
+                p.error(f"--{side} {getattr(args, side)} has no git history: "
+                        f"give its commit with --{side}-commit")
+            setattr(args, f"{side}_commit", commit)
     for option in ("runs", "trace"):
         counts = {}
         for item in getattr(args, option):
@@ -77,10 +96,11 @@ def spread(values: list[float]) -> dict:
     return {"median": median, "q1": q1, "q3": q3, "values": values}
 
 
-def describe(tree: str) -> str:
+def describe(tree: str) -> str | None:
+    """The commit of ``tree`` by ``git describe``, or None outside git history."""
     proc = subprocess.run(["git", "describe", "--always", "--dirty"], cwd=tree,
-                          stdout=subprocess.PIPE, text=True)
-    return proc.stdout.strip() or "unknown"
+                          stdout=subprocess.PIPE, stderr=subprocess.DEVNULL, text=True)
+    return proc.stdout.strip() if proc.returncode == 0 else None
 
 
 def cpu_model() -> str:
@@ -113,8 +133,9 @@ def run_pairs(sides: dict, workload: str, k: int, args, trace: int,
 
 
 def summarize(results: dict, metrics: list) -> dict:
-    """Per metric: each side's spread, the median pair ratio and pairs won;
-    with a ``bound``, also the change's relative worsening of the median."""
+    """Per metric: each side's spread, the median pair ratio, pairs won and
+    the gain rule's verdict; with a ``bound``, also the change's relative
+    worsening of the median and whether the spread leaves it unresolved."""
     table = {}
     for m in metrics:
         name = m["name"]
@@ -125,17 +146,25 @@ def summarize(results: dict, metrics: list) -> dict:
             continue  # a layer the workload never calls reads 0
         ratios = [c / p for p, c in zip(values["parent"], values["change"])]
         better = (lambda r: r > 1.0) if m["better"] == "higher" else (lambda r: r < 1.0)
+        parent, change = spread(values["parent"]), spread(values["change"])
+        pairs_better = sum(better(r) for r in ratios)
+        p, c = parent["median"], change["median"]
+        gain = p - c if m["better"] == "lower" else c - p
         table[name] = {
-            "unit": m["unit"], "better": m["better"],
-            "parent": spread(values["parent"]), "change": spread(values["change"]),
-            "ratio_median": statistics.median(ratios),
-            "pairs_better": sum(better(r) for r in ratios),
+            "unit": m["unit"], "better": m["better"], "parent": parent, "change": change,
+            "ratio_median": statistics.median(ratios), "pairs_better": pairs_better,
+            "gain_resolved": pairs_better >= 0.9 * len(ratios)
+                             and gain > parent["q3"] - parent["q1"],
         }
         if "bound" in m:
-            p, c = table[name]["parent"]["median"], table[name]["change"]["median"]
-            worse_by = (p - c if m["better"] == "higher" else c - p) / p
+            worse_by = -gain / p
+            spread_by = max((side["q3"] - side["q1"]) / side["median"]
+                            for side in (parent, change))
+            separated = all(better(c_run / p_run) for c_run in values["change"]
+                            for p_run in values["parent"])
             table[name].update(bound=m["bound"], worse_by=worse_by,
-                               beyond_bound=worse_by > m["bound"])
+                               beyond_bound=worse_by > m["bound"],
+                               unresolved=spread_by > m["bound"] and not separated)
     return table
 
 
@@ -165,9 +194,13 @@ def main(argv=None) -> int:
                      "ratio_median: median of change/parent over the pairs; "
                      "worse_by: (change - parent) / parent of the medians, sign "
                      "flipped for higher-is-better; beyond_bound: worse_by > bound; "
+                     "gain_resolved: pairs_better >= 0.9 of the pairs and the medians "
+                     "differ in the better direction by more than the parent's q3 - q1; "
+                     "unresolved: either side's (q3 - q1) / median > bound, unless "
+                     "every change run beats every parent run; "
                      "pairs run alternately, parent first on even pairs",
-        "parent": describe(args.parent),
-        "change": describe(args.change),
+        "parent": args.parent_commit,
+        "change": args.change_commit,
         "cpu": cpu_model(),
         "environment": environments[0] if len(environments) == 1 else environments,
         "workloads": workloads,

@@ -15,6 +15,9 @@
 #   - `simulate --export` of a quantized copy of benign.txt, whose heading
 #     ramps from 0 to 350 degrees and gain from 0.8 to 1.3, so the frames
 #     show the sprite rendered at every heading: the same files;
+#   - `simulate --export` of a quantized copy of benign.txt whose gain rises
+#     from 1.0 to 1.9 (`gain=0.0:1.0;20.0:1.9`), so that the later frames
+#     are clipped at 255, which no shipped scenario is: the same files;
 #   - `simulate` of a copy of benign.txt whose target is hidden at frame 0
 #     (`dropout=0.0-0.5`), which exits 2 before any frame is tracked;
 #   - `track --dump-frames` of that exported sequence from the copy's
@@ -143,6 +146,10 @@ run_matrix() (
     sed 's/^quantize=.*/quantize=1/' benign.txt >benign_quantized.txt
     uav simulate_benign_quantized simulate benign_quantized.txt --out benign_quantized \
         --export benign_quantized/seq
+    sed -e 's/^quantize=.*/quantize=1/' -e 's/^gain=.*/gain=0.0:1.0;20.0:1.9/' benign.txt \
+        >benign_bright.txt
+    uav simulate_benign_bright simulate benign_bright.txt --out benign_bright \
+        --export benign_bright/seq
     sed '/^dropout=/d' benign.txt >benign_hidden.txt
     echo "dropout=0.0-0.5" >>benign_hidden.txt
     uav simulate_hidden simulate benign_hidden.txt --out hidden --export hidden/seq
@@ -152,7 +159,7 @@ scenario = simulator.load_scenario("dropout_quantized.txt")
 print(",".join(str(v) for v in simulator.SceneRenderer(scenario).target_rect_frame0()))
 ' >roi.txt 2>roi.stderr
     uav track_quantized track quantized/seq --roi "$(cat roi.txt)" --out retrack --dump-frames
-    for name in benign benign_config dropout centering quantized benign_quantized; do
+    for name in benign benign_config dropout centering quantized benign_quantized benign_bright; do
         if [ -f "$name/report.csv" ]; then drop_column "$name/report.csv" wall_ms; fi
     done
     uav benchmark benchmark --frames 40 --csv bench.csv
@@ -160,7 +167,7 @@ print(",".join(str(v) for v in simulator.SceneRenderer(scenario).target_rect_fra
     if [ -f bench.csv ]; then drop_column bench.csv fps; fi
     # The inputs are not outputs: the two checkouts' files may differ in comments.
     rm -f benign.txt dropout.txt centering.txt default.cfg dropout_quantized.txt \
-        benign_quantized.txt benign_hidden.txt
+        benign_quantized.txt benign_bright.txt benign_hidden.txt
 )
 
 run_matrix "$parent" "$work/parent"

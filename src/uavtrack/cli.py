@@ -18,7 +18,7 @@ from typing import Iterator
 import numpy as np
 
 from . import pgm, simulator
-from .config import ConfigError, TrackerConfig, resolve_config
+from .config import ConfigError, TrackerConfig, read_int, resolve_config
 from .gimbal import Gimbal
 from .imaging import Frame
 from .tracker import FrameRecord, Tracker, track_frames
@@ -106,7 +106,7 @@ def _parse_roi(text: str) -> tuple[int, int, int, int]:
     if len(parts) != 4:
         raise ConfigError(f"--roi needs x,y,w,h, got '{text}'")
     try:
-        x, y, w, h = (int(p) for p in parts)
+        x, y, w, h = (read_int(p) for p in parts)
     except ValueError:
         raise ConfigError(f"--roi needs four integers, got '{text}'") from None
     return (x, y, w, h)
@@ -287,7 +287,7 @@ def _parse_sizes(text: str) -> list[tuple[int, int]]:
             raise ConfigError(f"--sizes entries need WxH, got '{item}'")
         w_str, h_str = item.split("x", 1)
         try:
-            sizes.append((int(w_str), int(h_str)))
+            sizes.append((read_int(w_str), read_int(h_str)))
         except ValueError:
             raise ConfigError(f"--sizes entries need integers, got '{item}'") from None
     return sizes

@@ -74,9 +74,9 @@ class TrackerConfig:
 
 
 def read_float(raw: str) -> float:
-    """A float value; ``inf`` and ``nan`` are rejected here, where they enter."""
+    """A float value in ASCII; ``inf`` and ``nan`` are rejected here, where they enter."""
     try:
-        v = float(raw)
+        v = float(_ascii(raw))
     except ValueError:
         raise ValueError(f"cannot parse '{raw.strip()}' as a number") from None
     if not math.isfinite(v):
@@ -85,10 +85,19 @@ def read_float(raw: str) -> float:
 
 
 def read_int(raw: str) -> int:
+    """An integer value in ASCII."""
     try:
-        return int(raw)
+        return int(_ascii(raw))
     except ValueError:
         raise ValueError(f"cannot parse '{raw.strip()}' as an integer") from None
+
+
+def _ascii(raw: str) -> str:
+    """``raw`` if it holds neither a non-ASCII character nor a ``_``, which
+    Python's ``int`` and ``float`` read as digits and digit separators."""
+    if not raw.isascii() or "_" in raw:
+        raise ValueError(raw)
+    return raw
 
 
 def read_flag(raw: str) -> bool:

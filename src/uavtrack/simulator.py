@@ -37,6 +37,8 @@ BACKGROUND_BASE = 105.0
 BACKGROUND_CONTRAST = 9.0
 BACKGROUND_CELL = 5
 WORLD_MARGIN = 128
+# Distinct headings the renderer warps per ``rotate`` call.
+WARP_CHUNK = 8
 
 
 @dataclass
@@ -233,8 +235,10 @@ def _sample(s: Scenario) -> _Samples:
 class SceneRenderer:
     """Renders scenario frames; owns the static world raster.
 
-    The sprite's warp to the current heading is kept and reused while the
-    heading holds, so a constant-heading scene warps it once.
+    The visible frames' headings, with consecutive repeats dropped, are
+    warped in chunks of ``WARP_CHUNK`` by one ``rotate`` call each; the last
+    chunk is kept, so a constant-heading scene warps its sprite once. A
+    frame is clipped only when its lit world and chunk range leave [0, 255].
     """
 
     def __init__(self, scenario: Scenario):
@@ -248,6 +252,14 @@ class SceneRenderer:
         self._rows = [
             (t, visible, round(x - half), round(y - half), heading % 360.0, gain, offset)
             for t, visible, x, y, heading, gain, offset in zip(*(c.tolist() for c in samples))]
+        # The visible frames' distinct headings in frame order, consecutive
+        # repeats dropped, and each frame's slot in that list.
+        headings, self._slots = [], []
+        for _, visible, _, _, heading, *_ in self._rows:
+            if visible and (not headings or headings[-1] != heading):
+                headings.append(heading)
+            self._slots.append(len(headings) - 1)
+        self._headings = np.array(headings)
         rng = np.random.default_rng(s.seed)
         m = WORLD_MARGIN
         wh, ww = s.height + 2 * m, s.width + 2 * m
@@ -255,11 +267,12 @@ class SceneRenderer:
             rng, wh, ww, BACKGROUND_CELL)
         self.sprite = blob_sprite(rng, s.sprite_width, s.sprite_height,
                                   SPRITE_CONTRAST, BACKGROUND_BASE)
-        self._warped = None  # (heading, canvas, inside) of the last warp
+        self._warped = None  # (chunk, canvases, inside, range) of the last warp
         self._place_distractors(rng, world, list(zip(samples.x[::5], samples.y[::5])))
         world = np.clip(world, 0.0, 255.0)
         world.setflags(write=False)
         self.world = world
+        self._world_range = np.array([world.min(), world.max()])
 
     def _place_distractors(self, rng: np.random.Generator, world: np.ndarray,
                            path: list[tuple[float, float]]) -> None:
@@ -308,11 +321,14 @@ class SceneRenderer:
         # World and sprite are lit before the paste, with the bits that lighting
         # after it gives; the lit world is this frame's own array.
         crop = _lit(self.world[m + oy:m + oy + s.height, m + ox:m + ox + s.width], gain, offset)
+        bounds = self._world_range
         if visible:
-            canvas, inside = self._sprite_at(heading)
+            canvas, inside, bounds = self._sprite_at(k)
             _paste(crop, _lit(canvas, gain, offset), inside, tlx - ox, tly - oy)
-        # Both lie in [0, 255]; rounding is monotonic, so clip if lit 0 or 255 leave it.
-        if min(0.0, 255.0 * gain) + offset < 0.0 or max(0.0, 255.0 * gain) + offset > 255.0:
+        # Lighting is monotonic in each pixel, so the lit bounds bound the
+        # frame, and the clip would return every value unchanged if they stay in range.
+        lo, hi = _lit(bounds, gain, offset).tolist()
+        if min(lo, hi) < 0.0 or max(lo, hi) > 255.0:
             np.clip(crop, 0.0, 255.0, out=crop)
         if s.quantize:
             np.rint(crop, out=crop)
@@ -321,13 +337,21 @@ class SceneRenderer:
                             y=tly + half - oy, heading=heading, gain=gain, offset=offset)
         return Frame(crop, timestamp=t, frame_index=k), truth
 
-    def _sprite_at(self, heading: float) -> tuple[np.ndarray, np.ndarray]:
-        """The sprite warped to ``heading`` and the mask of the canvas pixels
-        it covers, reused while the heading holds."""
-        if self._warped is None or self._warped[0] != heading:
-            canvases, inside = rotate(self.sprite, np.array([heading]), 0.0)
-            self._warped = (heading, canvases[0], inside[0])
-        return self._warped[1:]
+    def _sprite_at(self, k: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """The sprite warped to frame k's heading, the mask of the canvas
+        pixels it covers, and the least and greatest value of the world and
+        of the chunk's covered pixels. The chunk of ``WARP_CHUNK`` headings
+        that holds frame k's is warped by one call and kept."""
+        chunk, i = divmod(self._slots[k], WARP_CHUNK)
+        if self._warped is None or self._warped[0] != chunk:
+            canvases, inside = rotate(
+                self.sprite, self._headings[chunk * WARP_CHUNK:(chunk + 1) * WARP_CHUNK], 0.0)
+            covered = canvases[inside]
+            bounds = np.array([min(self._world_range[0], covered.min()),
+                               max(self._world_range[1], covered.max())])
+            self._warped = (chunk, canvases, inside, bounds)
+        _, canvases, inside, bounds = self._warped
+        return canvases[i], inside[i], bounds
 
 
 def _lit(pixels: np.ndarray, gain: float, offset: float) -> np.ndarray:
