@@ -282,7 +282,7 @@ def _parse_sizes(text: str) -> list[tuple[int, int]]:
         raise ConfigError("--sizes is empty")
     sizes = []
     for item in text.split(","):
-        item = item.strip().lower()
+        item = item.lower()  # int() skips ASCII blanks, and read_int rejects the others
         if "x" not in item:
             raise ConfigError(f"--sizes entries need WxH, got '{item}'")
         w_str, h_str = item.split("x", 1)

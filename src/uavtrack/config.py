@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import dataclasses
 import math
+import string
 from dataclasses import dataclass
 from typing import Callable, Iterable
 
@@ -78,7 +79,7 @@ def read_float(raw: str) -> float:
     try:
         v = float(_ascii(raw))
     except ValueError:
-        raise ValueError(f"cannot parse '{raw.strip()}' as a number") from None
+        raise ValueError(f"cannot parse '{raw.strip(string.whitespace)}' as a number") from None
     if not math.isfinite(v):
         raise ValueError(f"'{raw.strip()}' is not a finite number")
     return v
@@ -89,12 +90,12 @@ def read_int(raw: str) -> int:
     try:
         return int(_ascii(raw))
     except ValueError:
-        raise ValueError(f"cannot parse '{raw.strip()}' as an integer") from None
+        raise ValueError(f"cannot parse '{raw.strip(string.whitespace)}' as an integer") from None
 
 
 def _ascii(raw: str) -> str:
     """``raw`` if it holds neither a non-ASCII character nor a ``_``, which
-    Python's ``int`` and ``float`` read as digits and digit separators."""
+    Python's ``int`` and ``float`` read as digits, blanks and digit separators."""
     if not raw.isascii() or "_" in raw:
         raise ValueError(raw)
     return raw

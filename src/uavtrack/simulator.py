@@ -267,7 +267,7 @@ class SceneRenderer:
             rng, wh, ww, BACKGROUND_CELL)
         self.sprite = blob_sprite(rng, s.sprite_width, s.sprite_height,
                                   SPRITE_CONTRAST, BACKGROUND_BASE)
-        self._warped = None  # (chunk, canvases, inside, range) of the last warp
+        self._warped = None  # (chunk, canvases, inside, bounds) of the last warp
         self._place_distractors(rng, world, list(zip(samples.x[::5], samples.y[::5])))
         world = np.clip(world, 0.0, 255.0)
         world.setflags(write=False)

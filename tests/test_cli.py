@@ -53,6 +53,14 @@ def exported(tmp_path):
 
 
 class TestTrackCommand:
+    @pytest.mark.parametrize("roi", ["1_0,2,30,30", "10,\u0662,30,30"])
+    def test_roi_with_separator_or_foreign_digit_exits_2(self, exported, tmp_path, capsys, roi):
+        _, _, seq = exported
+        out = tmp_path / "t"
+        assert main(["track", str(seq), "--roi", roi, "--out", str(out)]) == 2
+        assert capsys.readouterr().err == f"error: --roi needs four integers, got '{roi}'\n"
+        assert not out.exists()
+
     def test_roi_outside_frame_exits_2(self, exported, tmp_path, capsys):
         _, _, seq = exported
         out = tmp_path / "t"
@@ -213,6 +221,31 @@ class TestSimulateCommand:
         assert main(["simulate", str(bad), "--out", str(tmp_path / "o")]) == 2
         line = len(text.splitlines())
         assert f"bad.txt:{line}: 'inf' is not a finite number" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("key, value, kind", [("seed", "1_0", "an integer"),
+                                                  ("seed", "\u0663", "an integer"),
+                                                  ("fps", "2_5.0", "a number")])
+    def test_digit_separator_or_foreign_digit_in_scenario_exits_2(self, tmp_path, capsys,
+                                                                  key, value, kind):
+        text = simulator.scenario_text(quantized_scenario(duration=0.5))
+        lines = [f"{key}={value}" if line.startswith(f"{key}=") else line
+                 for line in text.splitlines()]
+        bad = tmp_path / "bad.txt"
+        bad.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        out = tmp_path / "o"
+        assert main(["simulate", str(bad), "--out", str(out)]) == 2
+        line = lines.index(f"{key}={value}") + 1
+        assert capsys.readouterr().err == \
+            f"error: {bad}:{line}: cannot parse '{value}' as {kind} for '{key}'\n"
+        assert not out.exists()
+
+    def test_digit_separator_in_config_exits_2(self, tmp_path, capsys):
+        cfg = tmp_path / "bad.cfg"
+        cfg.write_text("fps=25\nmiss_run_limit=3_0\n")
+        scn = write_scenario(tmp_path / "scn.txt", quantized_scenario(duration=0.5))
+        assert main(["simulate", scn, "--config", str(cfg), "--out", str(tmp_path / "o")]) == 2
+        assert capsys.readouterr().err == \
+            f"error: {cfg}:2: cannot parse '3_0' as an integer for 'miss_run_limit'\n"
 
     @pytest.mark.parametrize("entry", ["sigma=nan", "count_resolution=inf", "zmncc_threshold=nan"])
     def test_non_finite_config_exits_2_naming_key(self, tmp_path, capsys, entry):
@@ -389,6 +422,10 @@ class TestBenchmarkCommand:
             assert capsys.readouterr().err == "error: --sizes is empty\n"
         assert main(["benchmark", "--sizes", "20x22,"]) == 2
         assert capsys.readouterr().err == "error: --sizes entries need WxH, got ''\n"
+        for entry in ("2_0x22", "20x\u0662\u0662"):
+            assert main(["benchmark", "--sizes", entry]) == 2
+            assert capsys.readouterr().err == \
+                f"error: --sizes entries need integers, got '{entry}'\n"
 
     @pytest.mark.parametrize("frames", ["0", "-3"])
     def test_bad_frames_exit_2(self, capsys, frames):

@@ -1,12 +1,16 @@
 import dataclasses
 import math
 import os
+import re
+from decimal import Decimal
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from conftest import SCENARIOS
-from uavtrack.config import ConfigError, TrackerConfig, kv_text, resolve_config
+from uavtrack import cli
+from uavtrack.config import (ConfigError, TrackerConfig, kv_text, parse_kv, read_float,
+                             read_int, resolve_config)
 
 
 def test_defaults_match_tuned_values():
@@ -122,3 +126,116 @@ def test_resolve_precedence(tmp_path, monkeypatch):
 def test_missing_file_is_config_error():
     with pytest.raises(ConfigError):
         TrackerConfig.from_file("/nonexistent/config.txt")
+
+
+# --------------------------------------------------------------------------
+# Numbers against an ASCII reference reader
+# --------------------------------------------------------------------------
+
+ASCII_SPACE = " \t\n\x0b\x0c\r"  # what Python's int and float skip around a number
+ASCII_INT = re.compile(r"[+-]?[0-9]+")
+ASCII_FINITE = re.compile(r"[+-]?([0-9]+\.?[0-9]*|\.[0-9]+)([eE][+-]?[0-9]+)?")
+
+
+def reference_int(raw: str) -> int | None:
+    """A sign and the digits 0-9 between ASCII blanks, folded digit by
+    digit; None for any other text."""
+    text = raw.strip(ASCII_SPACE)
+    if not ASCII_INT.fullmatch(text):
+        return None
+    value = 0
+    for c in text.lstrip("+-"):
+        value = 10 * value + ord(c) - ord("0")
+    return -value if text[0] == "-" else value
+
+
+def reference_float(raw: str) -> float | None:
+    """A decimal number in ASCII, rounded once from its exact value; None
+    for any other text and for a number that rounds to an infinity."""
+    text = raw.strip(ASCII_SPACE)
+    if not ASCII_FINITE.fullmatch(text):
+        return None
+    value = float(Decimal(text))
+    return value if math.isfinite(value) else None
+
+
+# Pieces of numbers and what Python's own readers also accept: digit
+# separators, digits of other scripts (Arabic-Indic, fullwidth, NKo),
+# blanks inside and outside ASCII, and the names of the non-finite values.
+NUMBER_PIECES = ["0", "1", "7", "9", "12", ".", "e", "E", "+", "-", "_", " ", "\t", "inf",
+                 "nan", "Infinity", "x", "\u0663", "\uff13", "\u07c3", "\u00a0",
+                 "\u2003", "\x1c", "\x0b"]
+number_texts = st.lists(st.sampled_from(NUMBER_PIECES), max_size=8).map("".join)
+
+
+def same_number(got, want) -> bool:
+    return got == want and math.copysign(1.0, got) == math.copysign(1.0, want)
+
+
+def read_or_none(reader, raw):
+    try:
+        return reader(raw)
+    except ValueError:
+        return None
+
+
+@settings(max_examples=400)
+@given(number_texts | st.integers().map(str))
+@example("1_0")
+@example("\u0663")
+@example(" 42 ")
+def test_read_int_equals_ascii_reference(raw):
+    got, want = read_or_none(read_int, raw), reference_int(raw)
+    assert got == want and type(got) is type(want)
+
+
+@settings(max_examples=400)
+@given(number_texts | st.floats(allow_nan=False, allow_infinity=False).map(repr))
+@example("1_0.5")
+@example("\uff13.5")
+@example("-0.0")
+@example("1e999")
+def test_read_float_equals_ascii_reference(raw):
+    got, want = read_or_none(read_float, raw), reference_float(raw)
+    assert (got is None and want is None) or same_number(got, want)
+
+
+@pytest.mark.parametrize("reader, kind", [(read_int, "an integer"), (read_float, "a number")])
+def test_rejected_number_is_quoted_with_its_non_ascii_blank(reader, kind):
+    with pytest.raises(ValueError, match=f"^cannot parse '\u00a01' as {kind}$"):
+        reader(" \u00a01\n")
+
+
+# A value in a key=value line: no comment mark and no line boundary.
+line_values = number_texts.filter(lambda t: "".join(t.splitlines()) == t)
+
+
+@settings(max_examples=200)
+@given(line_values, line_values)
+def test_key_value_numbers_equal_reference_or_name_file_and_line(count, number):
+    text = f"# numbers\ncount={count}\nnumber={number}\n"
+    readers = {"count": read_int, "number": read_float}
+    want = {"count": reference_int(count.strip()), "number": reference_float(number.strip())}
+    bad = [(line, key) for line, key in ((2, "count"), (3, "number")) if want[key] is None]
+    if bad:
+        line, key = bad[0]
+        with pytest.raises(ConfigError, match=rf"^numbers\.cfg:{line}: .* for '{key}'$"):
+            parse_kv(text, "numbers.cfg", readers)
+    else:
+        got = parse_kv(text, "numbers.cfg", readers)
+        assert got["count"] == want["count"] and same_number(got["number"], want["number"])
+
+
+@settings(max_examples=200)
+@given(line_values.filter(lambda t: "," not in t and "x" not in t))
+@example("1_0")
+@example("\u0663")
+def test_roi_and_sizes_equal_reference(field):
+    want = reference_int(field)
+    for parse, text, expect in ((cli._parse_roi, f"{field},2,3,4", (want, 2, 3, 4)),
+                                (cli._parse_sizes, f"{field}x22", [(want, 22)])):
+        if want is None:
+            with pytest.raises(ConfigError):
+                parse(text)
+        else:
+            assert parse(text) == expect
