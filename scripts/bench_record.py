@@ -15,7 +15,8 @@ threads, Python, numpy).
 Every metric also gets the gain rule's verdict: ``gain_resolved`` holds
 when the change wins at least nine tenths of the pairs, ties counting for
 neither, and its median is better than the parent's by more than the
-parent's interquartile range. An end-to-end metric is ``unresolved`` when
+parent's interquartile range; with fewer than ten pairs it is null, as the
+rule gives no verdict on so few. An end-to-end metric is ``unresolved`` when
 either side's interquartile range, relative to its median, is wider than the
 metric's bound, unless every run of the change reads better than every run
 of the parent.
@@ -40,6 +41,9 @@ import os
 import statistics
 import subprocess
 import sys
+
+# The fewest pairs on which the gain rule can give a verdict.
+MIN_GAIN_PAIRS = 10
 
 
 def parse_args(argv=None):
@@ -153,8 +157,9 @@ def summarize(results: dict, metrics: list) -> dict:
         table[name] = {
             "unit": m["unit"], "better": m["better"], "parent": parent, "change": change,
             "ratio_median": statistics.median(ratios), "pairs_better": pairs_better,
-            "gain_resolved": pairs_better >= 0.9 * len(ratios)
-                             and gain > parent["q3"] - parent["q1"],
+            "gain_resolved": (pairs_better >= 0.9 * len(ratios)
+                              and gain > parent["q3"] - parent["q1"])
+                             if len(ratios) >= MIN_GAIN_PAIRS else None,
         }
         if "bound" in m:
             worse_by = -gain / p
@@ -194,8 +199,9 @@ def main(argv=None) -> int:
                      "ratio_median: median of change/parent over the pairs; "
                      "worse_by: (change - parent) / parent of the medians, sign "
                      "flipped for higher-is-better; beyond_bound: worse_by > bound; "
-                     "gain_resolved: pairs_better >= 0.9 of the pairs and the medians "
-                     "differ in the better direction by more than the parent's q3 - q1; "
+                     f"gain_resolved: at least {MIN_GAIN_PAIRS} pairs, pairs_better >= 0.9 "
+                     "of the pairs and the medians differ in the better direction by more "
+                     "than the parent's q3 - q1; null below that many pairs; "
                      "unresolved: either side's (q3 - q1) / median > bound, unless "
                      "every change run beats every parent run; "
                      "pairs run alternately, parent first on even pairs",

@@ -81,7 +81,7 @@ def read_float(raw: str) -> float:
     except ValueError:
         raise ValueError(f"cannot parse '{raw.strip(string.whitespace)}' as a number") from None
     if not math.isfinite(v):
-        raise ValueError(f"'{raw.strip()}' is not a finite number")
+        raise ValueError(f"'{raw.strip(string.whitespace)}' is not a finite number")
     return v
 
 
@@ -119,16 +119,17 @@ def field_readers(cls) -> dict[str, Callable[[str], object]]:
 def parse_kv(text: str, source: str, readers: dict[str, Callable[[str], object]]) -> dict:
     """Every key=value line of ``text``, its value read by ``readers[key]``,
     which rejects a value by raising ValueError with the reason. '#' starts
-    a comment. A key given twice is rejected on its second line, after its
-    value is read."""
+    a comment, and ASCII blanks around a line, key or value are dropped.
+    Lines end at ``\n`` only, as ``read_text`` counts them. A key given
+    twice is rejected on its second line, after its value is read."""
     values, first = {}, {}
-    for lineno, line in enumerate(text.splitlines(), start=1):
-        stripped = line.split("#", 1)[0].strip()
+    for lineno, line in enumerate(text.split("\n"), start=1):
+        stripped = line.split("#", 1)[0].strip(string.whitespace)
         if not stripped:
             continue
         if "=" not in stripped:
             raise ConfigError(f"{source}:{lineno}: expected key=value, got '{stripped}'")
-        key, raw = (part.strip() for part in stripped.split("=", 1))
+        key, raw = (part.strip(string.whitespace) for part in stripped.split("=", 1))
         if key not in readers:
             raise ConfigError(f"{source}:{lineno}: unknown key '{key}'")
         try:

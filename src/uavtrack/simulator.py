@@ -15,6 +15,7 @@ from __future__ import annotations
 import functools
 import math
 import re
+import string
 from dataclasses import dataclass, field
 from typing import NamedTuple
 
@@ -267,12 +268,12 @@ class SceneRenderer:
             rng, wh, ww, BACKGROUND_CELL)
         self.sprite = blob_sprite(rng, s.sprite_width, s.sprite_height,
                                   SPRITE_CONTRAST, BACKGROUND_BASE)
-        self._warped = None  # (chunk, canvases, inside, bounds) of the last warp
+        self._warped = None  # (chunk, canvases, inside, covered range) of the last warp
         self._place_distractors(rng, world, list(zip(samples.x[::5], samples.y[::5])))
         world = np.clip(world, 0.0, 255.0)
         world.setflags(write=False)
         self.world = world
-        self._world_range = np.array([world.min(), world.max()])
+        self._world_range = (world.min().item(), world.max().item())
 
     def _place_distractors(self, rng: np.random.Generator, world: np.ndarray,
                            path: list[tuple[float, float]]) -> None:
@@ -321,13 +322,15 @@ class SceneRenderer:
         # World and sprite are lit before the paste, with the bits that lighting
         # after it gives; the lit world is this frame's own array.
         crop = _lit(self.world[m + oy:m + oy + s.height, m + ox:m + ox + s.width], gain, offset)
-        bounds = self._world_range
+        lo, hi = self._world_range
         if visible:
-            canvas, inside, bounds = self._sprite_at(k)
+            canvas, inside = self._sprite_at(k)
             _paste(crop, _lit(canvas, gain, offset), inside, tlx - ox, tly - oy)
+            sprite_lo, sprite_hi = self._warped[3]
+            lo, hi = min(lo, sprite_lo), max(hi, sprite_hi)
         # Lighting is monotonic in each pixel, so the lit bounds bound the
         # frame, and the clip would return every value unchanged if they stay in range.
-        lo, hi = _lit(bounds, gain, offset).tolist()
+        lo, hi = _lit(np.array([lo, hi]), gain, offset).tolist()
         if min(lo, hi) < 0.0 or max(lo, hi) > 255.0:
             np.clip(crop, 0.0, 255.0, out=crop)
         if s.quantize:
@@ -337,21 +340,21 @@ class SceneRenderer:
                             y=tly + half - oy, heading=heading, gain=gain, offset=offset)
         return Frame(crop, timestamp=t, frame_index=k), truth
 
-    def _sprite_at(self, k: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """The sprite warped to frame k's heading, the mask of the canvas
-        pixels it covers, and the least and greatest value of the world and
-        of the chunk's covered pixels. The chunk of ``WARP_CHUNK`` headings
-        that holds frame k's is warped by one call and kept."""
+    def _sprite_at(self, k: int) -> tuple[np.ndarray, np.ndarray]:
+        """The sprite warped to frame k's heading and the mask of the canvas
+        pixels it covers. The chunk of ``WARP_CHUNK`` headings that holds
+        frame k's is warped by one call and kept in ``_warped``, with the
+        least and greatest value of its covered pixels (infinities when a
+        sprite one pixel wide covers none in the whole chunk)."""
         chunk, i = divmod(self._slots[k], WARP_CHUNK)
         if self._warped is None or self._warped[0] != chunk:
             canvases, inside = rotate(
                 self.sprite, self._headings[chunk * WARP_CHUNK:(chunk + 1) * WARP_CHUNK], 0.0)
-            covered = canvases[inside]
-            bounds = np.array([min(self._world_range[0], covered.min()),
-                               max(self._world_range[1], covered.max())])
-            self._warped = (chunk, canvases, inside, bounds)
-        _, canvases, inside, bounds = self._warped
-        return canvases[i], inside[i], bounds
+            covered = (np.min(canvases, where=inside, initial=math.inf).item(),
+                       np.max(canvases, where=inside, initial=-math.inf).item())
+            self._warped = (chunk, canvases, inside, covered)
+        _, canvases, inside, _ = self._warped
+        return canvases[i], inside[i]
 
 
 def _lit(pixels: np.ndarray, gain: float, offset: float) -> np.ndarray:
@@ -441,8 +444,9 @@ def scenario_text(s: Scenario) -> str:
 
 
 def _items(raw: str, sep: str) -> list[str]:
-    """The non-blank items of a ``sep``-separated list, stripped."""
-    return [item.strip() for item in raw.split(sep) if item.strip()]
+    """The non-blank items of a ``sep``-separated list, stripped of ASCII blanks."""
+    return [item.strip(string.whitespace) for item in raw.split(sep)
+            if item.strip(string.whitespace)]
 
 
 def _parse_schedule(raw: str, arity: int) -> Breakpoints:

@@ -72,6 +72,15 @@ def test_repeated_key_rejected_naming_both_lines():
         TrackerConfig.from_text("fps=25\nfps=x\n")
 
 
+def test_only_ascii_blanks_and_newlines_delimit():
+    # A non-ASCII blank is part of the value, which read_int rejects.
+    with pytest.raises(ConfigError, match="^<config>:1: cannot parse '\u00a07' as an integer"):
+        TrackerConfig.from_text("miss_run_limit=\u00a07\n")
+    # U+2028 and \x1c end no line, so the error names the line an editor shows.
+    with pytest.raises(ConfigError, match="^<config>:2: cannot parse 'x' as a number"):
+        TrackerConfig.from_text("# note\u2028\x1c\nfps=x\n")
+
+
 def test_missing_equals_reports_line():
     with pytest.raises(ConfigError, match=":1:"):
         TrackerConfig.from_text("just words\n")
@@ -215,7 +224,7 @@ line_values = number_texts.filter(lambda t: "".join(t.splitlines()) == t)
 def test_key_value_numbers_equal_reference_or_name_file_and_line(count, number):
     text = f"# numbers\ncount={count}\nnumber={number}\n"
     readers = {"count": read_int, "number": read_float}
-    want = {"count": reference_int(count.strip()), "number": reference_float(number.strip())}
+    want = {"count": reference_int(count), "number": reference_float(number)}
     bad = [(line, key) for line, key in ((2, "count"), (3, "number")) if want[key] is None]
     if bad:
         line, key = bad[0]

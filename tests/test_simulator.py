@@ -214,6 +214,19 @@ class TestSharedWarp:
             clipped += frame.pixels.max() == 255.0
         assert 0 < clipped < len(visible)
 
+    def test_sprite_one_pixel_wide_equals_two_warp_blend(self):
+        # A 1x16 sprite covers no canvas pixel at most headings: its columns
+        # sit at whole-pixel offsets from the pivot, its rows at half-pixel
+        # ones. The ramp's second chunk, about 5-9 degrees, covers none.
+        s = small_scenario(duration=2.0, sprite_width=1, sprite_height=16,
+                           heading=[(0.0, 0.0), (2.0, 45.0)], gain=[(0.0, 1.0), (2.0, 1.9)],
+                           distractors=0)
+        r = SceneRenderer(s)
+        for k in range(s.n_frames):
+            assert r.render(k)[0].pixels.tobytes() == two_warp_frame(r, k, (0, 0)).tobytes(), k
+            if k // simulator.WARP_CHUNK == 1:
+                assert not r._warped[2].any()
+
 
 def gathered_value_noise(rng, height, width, cell, octaves=2):
     """value_noise as first written, with a 2-D gather per lattice corner;
