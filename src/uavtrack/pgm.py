@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import os
 import re
+import string
 from typing import Callable, Iterable, Iterator
 
 import numpy as np
@@ -132,7 +133,8 @@ def load_sequence(dirpath: str, fps: float) -> Iterator[Frame]:
     if os.path.exists(sidecar):
         lines = read_text(sidecar, "timestamp sidecar").split("\n")
         timestamps = [_parse_timestamp(line, sidecar, lineno)
-                      for lineno, line in enumerate(lines, start=1) if line.strip()]
+                      for lineno, line in enumerate(lines, start=1)
+                      if line.strip(string.whitespace)]
         if len(timestamps) != len(entries):
             raise ValueError(
                 f"{sidecar}: {len(timestamps)} timestamps for {len(entries)} frames")

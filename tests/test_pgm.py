@@ -290,6 +290,12 @@ class TestSequences:
         with pytest.raises(ValueError, match=r"timestamps\.txt:3: cannot parse '0\.1s'"):
             pgm.load_sequence(str(tmp_path), fps=25.0)
 
+    def test_non_ascii_blank_line_is_not_skipped(self, tmp_path, rng):
+        pgm.write_sequence(str(tmp_path), self._frames(rng, n=3))
+        (tmp_path / pgm.TIMESTAMP_SIDECAR).write_text("0.0\n0.1\n\u00a0\n0.2\n")
+        with pytest.raises(ValueError, match="timestamps\\.txt:3: cannot parse '\u00a0'"):
+            pgm.load_sequence(str(tmp_path), fps=25.0)
+
     def test_sidecar_length_mismatch(self, tmp_path, rng):
         frames = self._frames(rng, n=3)
         pgm.write_sequence(str(tmp_path), frames)
